@@ -122,6 +122,27 @@ func validateFlags(queryWorkers, alignJobs, alignWorkers, jobHistory int, queryT
 	return nil
 }
 
+// Connection timeouts of the HTTP server. A client must finish sending its
+// request headers within readHeaderTimeout, and an idle keep-alive
+// connection is closed after idleTimeout, so slow or stalled clients cannot
+// hold connections forever. There is deliberately no read or write timeout:
+// snapshot and N-Triples uploads and version downloads stream for as long
+// as their size needs, bounded by the body limit instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's HTTP server around its handler.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func methodNames() string {
 	names := make([]string, 0, len(rdfalign.Methods()))
 	for _, m := range rdfalign.Methods() {
@@ -178,7 +199,7 @@ func run(addr string, archives map[string]string, method string, theta float64, 
 		log.Printf("archive %q resident in %v", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	hs := &http.Server{Addr: addr, Handler: srv}
+	hs := newHTTPServer(addr, srv)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s (%d archives, %d query workers, %d align jobs)",

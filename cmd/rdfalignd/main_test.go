@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -44,5 +45,26 @@ func TestValidateFlags(t *testing.T) {
 				t.Errorf("error %q does not contain %q", tc.err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNewHTTPServerTimeouts: the server bounds header reads and idle
+// keep-alive connections, and sets no read or write timeout, which would
+// cut off long streaming uploads and downloads.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NotFoundHandler()
+	hs := newHTTPServer("127.0.0.1:0", h)
+	if hs.Addr != "127.0.0.1:0" || hs.Handler == nil {
+		t.Fatalf("server = %+v; want the given address and handler", hs)
+	}
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 120*time.Second {
+		t.Errorf("IdleTimeout = %v, want 120s", hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want none (uploads and downloads stream)",
+			hs.ReadTimeout, hs.WriteTimeout)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"rdfalign/internal/rdf"
 )
@@ -264,6 +264,6 @@ func AlignedNodes(c *rdf.Combined, p *Partition, onlyURIs bool) AlignedNodeStats
 // SortNodeIDs sorts a node ID slice in place and returns it. Exported for
 // sibling packages that must keep deterministic node orderings.
 func SortNodeIDs(ids []rdf.NodeID) []rdf.NodeID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rdfalign/internal/rdf"
 )
@@ -176,7 +177,7 @@ func (e *Engine) RefineChanged(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Par
 			changed = append(changed, n)
 		}
 	}
-	sortNodeIDs(changed)
+	slices.Sort(changed)
 	return out, iters, changed, nil
 }
 
@@ -319,7 +320,7 @@ func (e *Engine) PropagateChanged(c *rdf.Combined, xi *Weighted, eps float64) (*
 				changed = append(changed, n)
 			}
 		}
-		sortNodeIDs(changed)
+		slices.Sort(changed)
 		return out, iters, changed, nil
 	}
 	tracked := newChangeTracker(len(xi.W))

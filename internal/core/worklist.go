@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"rdfalign/internal/rdf"
@@ -227,22 +227,8 @@ func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, inX []bool, mark []int32, 
 			}
 		}
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-// sortNodeIDs sorts a frontier ascending; small frontiers (the steady state
-// of deep fixpoints) use insertion sort to avoid sort.Slice overhead.
-func sortNodeIDs(out []rdf.NodeID) {
-	if len(out) <= 32 {
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-		return
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 }
 
 // refineWorklist is the incremental fixpoint behind Engine.Refine for the
@@ -484,7 +470,7 @@ func (t *changeTracker) add(n rdf.NodeID) {
 
 // sorted returns the tracked nodes ascending.
 func (t *changeTracker) sorted() []rdf.NodeID {
-	sortNodeIDs(t.nodes)
+	slices.Sort(t.nodes)
 	return t.nodes
 }
 

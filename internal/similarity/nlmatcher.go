@@ -25,10 +25,12 @@ import (
 //     under B-set shrinkage, so postings are edited in place.
 //
 // The repaired index is element-identical to a from-scratch rebuild —
-// posting-list order may differ, but candidate sets are deduplicated and
-// sorted and the prefix filter reads only posting lengths, so every round's
-// H is bit-identical to the one OverlapMatchWorkers would discover (the
-// oracle property tests pin this).
+// posting-list order may differ, but that only changes the order in which
+// a source's candidates are screened: the screen and σNL are pure
+// functions of the pair, each source meets each B node once, the final
+// (A, B) edge sort fixes the output order and the prefix filter reads only
+// posting lengths. So every round's H is bit-identical to the one
+// OverlapMatchWorkers would discover (the oracle property tests pin this).
 type nlMatcher struct {
 	c       *rdf.Combined
 	theta   float64
@@ -56,6 +58,8 @@ type nlMatcher struct {
 
 	dirtyMark []bool
 	dirty     []rdf.NodeID
+	// scratch is the scan's per-worker scratch, kept across rounds.
+	scratch []*matchScratch[uint64]
 }
 
 func newNLMatcher(c *rdf.Combined, theta float64, workers int) *nlMatcher {
@@ -129,6 +133,8 @@ func (m *nlMatcher) round(xi *core.Weighted, a, b []rdf.NodeID, changed []rdf.No
 	}
 	ix := &matchIndex[uint64]{
 		theta:   m.theta,
+		idBound: idBound(b),
+		scratch: m.scratch,
 		inv:     m.inv,
 		sortedB: func(n rdf.NodeID) []uint64 { return m.sorted[n] },
 		charA:   func(n rdf.NodeID) []uint64 { return m.char[n] },
@@ -138,6 +144,7 @@ func (m *nlMatcher) round(xi *core.Weighted, a, b []rdf.NodeID, changed []rdf.No
 		},
 	}
 	edges, err := ix.scan(a, hooks, m.workers)
+	m.scratch = ix.scratch
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"rdfalign/internal/core"
@@ -35,6 +36,42 @@ func BenchmarkOverlapMatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOverlapMatchSkewed measures one non-literal-shaped matching scan
+// over uint64 out-colour keys with GtoPdb's skew: every node carries one
+// of two (rdf:type, C)-like keys whose posting lists hold 10⁴ B nodes each,
+// plus one to five keys from a 5000-key vocabulary, so k ≤ 6 and the
+// frequency-ordered prefix of most sources reaches a huge posting list.
+// Nearly every candidate is then rejected by the overlap screen; this is
+// the shape in which per-candidate dedup, ordering and screening dominate.
+func BenchmarkOverlapMatchSkewed(b *testing.B) {
+	const nA, nB, vocab = 2000, 20000, 5000
+	r := rand.New(rand.NewSource(1))
+	chars := make([][]uint64, nA+nB)
+	for i := range chars {
+		cs := []uint64{uint64(i % 2)}
+		for j := 1 + r.Intn(5); j > 0; j-- {
+			cs = append(cs, 2+uint64(r.Intn(vocab)))
+		}
+		chars[i] = cs
+	}
+	aa := make([]rdf.NodeID, nA)
+	for i := range aa {
+		aa[i] = rdf.NodeID(i)
+	}
+	bb := make([]rdf.NodeID, nB)
+	for i := range bb {
+		bb[i] = rdf.NodeID(nA + i)
+	}
+	char := func(n rdf.NodeID) []uint64 { return chars[n] }
+	dist := func(n, m rdf.NodeID) (float64, bool) { return 0, true }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := OverlapMatchWorkers(aa, bb, 0.65, char, dist, core.Hooks{}, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

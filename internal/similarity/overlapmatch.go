@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -119,6 +118,7 @@ func OverlapMatchWorkers[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char f
 	sortedB := make(map[rdf.NodeID][]O, len(b))
 	ix := &matchIndex[O]{
 		theta:   theta,
+		idBound: idBound(b),
 		inv:     make(map[O][]rdf.NodeID),
 		sortedB: func(m rdf.NodeID) []O { return sortedB[m] },
 		charA:   func(n rdf.NodeID) []O { return dedup(char(n)) },
@@ -151,22 +151,32 @@ const cancelBatch = 64
 // scan pays for its coordination overhead.
 const parallelMatchMin = 16
 
-// matchIndex is the shared read-only state of one matching scan (lines 9–19
-// of Algorithm 1): the inverted index and sorted characterisations over B,
-// the characterisation of A nodes, and the verification distance. A scan
-// never mutates the index, which is what makes the worker fan-out safe; the
-// candidate screen intersects pre-sorted object slices (a merge, no
-// per-pair set allocation) and is value-identical to
-// Overlap(char(a), char(b)) ≥ θ because both slices are deduplicated.
+// matchIndex is the shared state of one matching scan (lines 9–19 of
+// Algorithm 1): the inverted index and sorted characterisations over B,
+// the characterisation of A nodes, and the verification distance. Workers
+// never mutate the index and each owns one scratch, which is what makes
+// the fan-out safe; the candidate screen merges pre-sorted object slices
+// (no per-pair set allocation) and is value-identical to
+// Overlap(char(a), char(b)) ≥ θ because both slices are deduplicated (see
+// minInter for the early exit).
 type matchIndex[O cmp.Ordered] struct {
 	theta float64
+	// idBound is one past the largest B node ID: the size each worker's
+	// seen stamps are allocated at.
+	idBound int
+	// scratch holds one reusable scratch per worker; scan allocates the
+	// missing ones. A caller that scans round after round (nlMatcher)
+	// carries the slice over, so the O(|N|) seen stamps are allocated once
+	// per worker rather than once per scan.
+	scratch []*matchScratch[O]
 	// inv maps an object to the B nodes whose characterisation contains
-	// it. Posting-list order is irrelevant (candidates are deduplicated
-	// and sorted); only membership and length (the frequency used by the
-	// prefix filter) are.
+	// it. Posting-list order is irrelevant: it only decides the order in
+	// which a source's candidates are screened, and the scan's final
+	// (A, B) edge sort erases that; the prefix filter reads only posting
+	// lengths (the frequencies).
 	inv map[O][]rdf.NodeID
 	// sortedB returns a B node's deduplicated characterisation in
-	// ascending order, for the merge-intersection screen.
+	// ascending order, for the merge screen.
 	sortedB func(rdf.NodeID) []O
 	// charA returns an A node's deduplicated characterisation in
 	// first-occurrence order (the deterministic tie-break of the
@@ -177,11 +187,76 @@ type matchIndex[O cmp.Ordered] struct {
 
 // matchScratch is one worker's reusable buffers.
 type matchScratch[O cmp.Ordered] struct {
-	seen    map[rdf.NodeID]int
-	stamp   int
-	cand    []rdf.NodeID
-	byFreq  []O
+	// seen[m] == stamp marks B node m as already screened for the current
+	// source node; stamp advances once per source node, so nothing is
+	// cleared between sources. Indexed by NodeID (dense combined-graph
+	// IDs) and allocated at the first candidate, at idBound entries.
+	seen    []uint32
+	idBound int
+	stamp   uint32
+	// need[l] memoises minInter(k, l, θ) for the current source node.
+	need    []needMemo
+	byFreq  []objFreq[O]
 	sortedA []O
+}
+
+// needMemo is one memoised minInter value, valid while stamp matches the
+// scratch's.
+type needMemo struct {
+	stamp uint32
+	t     int32
+}
+
+// objFreq is one characterising object with its posting-list length.
+type objFreq[O cmp.Ordered] struct {
+	o    O
+	freq int
+}
+
+// idBound returns one past the largest node ID in ids (0 when empty).
+func idBound(ids []rdf.NodeID) int {
+	bound := 0
+	for _, n := range ids {
+		bound = max(bound, int(n)+1)
+	}
+	return bound
+}
+
+// nextSource starts the stamp generation of a new source node, clearing
+// the stamp arrays on the (rare) wrap-around so no stale mark survives.
+func (sc *matchScratch[O]) nextSource() {
+	sc.stamp++
+	if sc.stamp == 0 {
+		clear(sc.seen)
+		clear(sc.need)
+		sc.stamp = 1
+	}
+}
+
+// firstVisit reports whether m is seen for the first time under the
+// current source node, and marks it seen.
+func (sc *matchScratch[O]) firstVisit(m rdf.NodeID) bool {
+	if int(m) >= len(sc.seen) {
+		n := max(int(m)+1, sc.idBound)
+		sc.seen = append(sc.seen, make([]uint32, n-len(sc.seen))...)
+	}
+	if sc.seen[m] == sc.stamp {
+		return false
+	}
+	sc.seen[m] = sc.stamp
+	return true
+}
+
+// minShared returns minInter(k, l, θ), memoised per l for the current
+// source node (k and θ are fixed while it is scanned).
+func (sc *matchScratch[O]) minShared(k, l int, theta float64) int {
+	if l >= len(sc.need) {
+		sc.need = append(sc.need, make([]needMemo, l+1-len(sc.need))...)
+	}
+	if memo := &sc.need[l]; memo.stamp != sc.stamp {
+		*memo = needMemo{sc.stamp, int32(minInter(k, l, theta))}
+	}
+	return int(sc.need[l].t)
 }
 
 // scan runs lines 9–19 over the source nodes a. With workers > 1 and
@@ -194,19 +269,25 @@ func (ix *matchIndex[O]) scan(a []rdf.NodeID, hooks core.Hooks, workers int) ([]
 	if workers > len(a) {
 		workers = len(a)
 	}
+	for len(ix.scratch) < max(workers, 1) {
+		ix.scratch = append(ix.scratch, &matchScratch[O]{})
+	}
+	for _, sc := range ix.scratch {
+		sc.idBound = ix.idBound
+	}
 	if workers <= 1 || len(a) < parallelMatchMin {
-		edges, err = ix.scanRange(a, hooks, &matchScratch[O]{seen: make(map[rdf.NodeID]int)})
+		edges, err = ix.scanRange(a, hooks, ix.scratch[0])
 	} else {
 		edges, err = ix.scanParallel(a, hooks, workers)
 	}
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+	slices.SortFunc(edges, func(x, y BipartiteEdge) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		return edges[i].B < edges[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 	return edges, nil
 }
@@ -230,7 +311,7 @@ func (ix *matchIndex[O]) scanParallel(a []rdf.NodeID, hooks core.Hooks, workers 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &matchScratch[O]{seen: make(map[rdf.NodeID]int)}
+			sc := ix.scratch[wk]
 			for {
 				ci := int(cursor.Add(1)) - 1
 				if ci >= nchunks {
@@ -264,7 +345,14 @@ func (ix *matchIndex[O]) scanParallel(a []rdf.NodeID, hooks core.Hooks, workers 
 }
 
 // scanRange scans one contiguous run of source nodes, returning the
-// discovered edges.
+// discovered edges in discovery order.
+//
+// Each candidate is screened and verified as soon as the prefix postings
+// first yield it: distance verification is a pure function of the pair and
+// a source meets each B node at most once (the seen stamps), so the edge
+// set does not depend on candidate order, and scan's (A, B) sort fixes the
+// output order. Only the points at which cancellation is observed depend
+// on posting order.
 func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchScratch[O]) ([]BipartiteEdge, error) {
 	var out []BipartiteEdge
 	for _, n := range a {
@@ -279,52 +367,77 @@ func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchSc
 		// Line 11: sort char(n) by ascending frequency in the index
 		// (absent objects have frequency 0); ties broken
 		// deterministically by scan position, via stable sort.
-		sc.byFreq = append(sc.byFreq[:0], objs...)
-		byFreq := sc.byFreq
-		sort.SliceStable(byFreq, func(i, j int) bool {
-			return len(ix.inv[byFreq[i]]) < len(ix.inv[byFreq[j]])
-		})
+		sc.byFreq = sc.byFreq[:0]
+		for _, o := range objs {
+			sc.byFreq = append(sc.byFreq, objFreq[O]{o, len(ix.inv[o])})
+		}
+		slices.SortStableFunc(sc.byFreq, func(x, y objFreq[O]) int { return cmp.Compare(x.freq, y.freq) })
 		sc.sortedA = append(sc.sortedA[:0], objs...)
 		slices.Sort(sc.sortedA)
-		prefix := prefixLen(k, ix.theta)
-		sc.stamp++
-		cand := sc.cand[:0]
-		for i := 0; i < prefix; i++ {
-			for _, m := range ix.inv[byFreq[i]] {
-				if sc.seen[m] != sc.stamp {
-					sc.seen[m] = sc.stamp
-					cand = append(cand, m)
+		sc.nextSource()
+		screened := 0
+		// Lines 12–19: each distinct candidate from the prefix postings
+		// goes through the overlap screen, then distance verification.
+		for _, of := range sc.byFreq[:prefixLen(k, ix.theta)] {
+			for _, m := range ix.inv[of.o] {
+				if !sc.firstVisit(m) {
+					continue
 				}
-			}
-		}
-		sc.cand = cand
-		core.SortNodeIDs(cand)
-		// Lines 14–19: overlap screen then distance verification.
-		for ci, m := range cand {
-			if ci%cancelBatch == cancelBatch-1 {
-				if err := hooks.Err(); err != nil {
-					return nil, err
+				if screened++; screened%cancelBatch == 0 {
+					if err := hooks.Err(); err != nil {
+						return nil, err
+					}
 				}
-			}
-			sb := ix.sortedB(m)
-			inter := sortedIntersect(sc.sortedA, sb)
-			union := k + len(sb) - inter
-			if float64(inter)/float64(union) < ix.theta {
-				continue
-			}
-			if d, ok := ix.dist(n, m); ok {
-				out = append(out, BipartiteEdge{A: n, B: m, D: d})
+				sb := ix.sortedB(m)
+				if !sharesAtLeast(sc.sortedA, sb, sc.minShared(k, len(sb), ix.theta)) {
+					continue
+				}
+				if d, ok := ix.dist(n, m); ok {
+					out = append(out, BipartiteEdge{A: n, B: m, D: d})
+				}
 			}
 		}
 	}
 	return out, nil
 }
 
-// sortedIntersect counts the common elements of two ascending, duplicate-
-// free slices.
-func sortedIntersect[O cmp.Ordered](x, y []O) int {
+// minInter returns the least intersection size t that passes the overlap
+// screen for deduplicated characterisations of sizes k and l, i.e. the
+// least t ≤ min(k, l) with !(float64(t)/float64(k+l−t) < θ), or
+// min(k, l)+1 when no t does (the pair fails on sizes alone).
+//
+// The decision inter ≥ minInter(k, l, θ) is bit-identical to the float
+// test float64(inter)/float64(k+l−inter) < θ ⇒ reject: the exact ratio
+// t/(k+l−t) strictly increases with t, both operands are exact in float64
+// and correctly rounded division is monotone, so the computed ratio is
+// non-decreasing in t and the float test holds on a prefix of t values.
+// That makes the binary search exact. For θ ≤ 0 or a NaN θ the float test
+// never rejects, and minInter is 0.
+func minInter(k, l int, theta float64) int {
+	hi := min(k, l)
+	lo, up := 0, hi+1
+	for lo < up {
+		t := (lo + up) / 2
+		if !(float64(t)/float64(k+l-t) < theta) {
+			up = t
+		} else {
+			lo = t + 1
+		}
+	}
+	return lo
+}
+
+// sharesAtLeast reports whether the ascending, duplicate-free slices x and
+// y have at least need elements in common. The merge stops as soon as the
+// answer is decided: once need common elements are found, or once the
+// elements left on the shorter side can no longer reach need (which with
+// need > min(len(x), len(y)) rejects without merging at all).
+func sharesAtLeast[O cmp.Ordered](x, y []O, need int) bool {
 	i, j, n := 0, 0, 0
-	for i < len(x) && j < len(y) {
+	for n < need {
+		if n+min(len(x)-i, len(y)-j) < need {
+			return false
+		}
 		switch {
 		case x[i] < y[j]:
 			i++
@@ -336,7 +449,7 @@ func sortedIntersect[O cmp.Ordered](x, y []O) int {
 			j++
 		}
 	}
-	return n
+	return true
 }
 
 // prefixLen computes the number of least-frequent characterising objects to
