@@ -65,9 +65,12 @@ func (al *Aligner) archiveOptions(ctx context.Context) ArchiveOptions {
 
 // AppendVersion extends an archive built by this session with one more
 // version: either the graph g, or — when g is nil — the newest archived
-// version edited by the script. Only the new consecutive pair is aligned, so
-// the cost is one alignment regardless of the archive's length, and the
-// result is identical to rebuilding the archive over the extended history.
+// version edited by the script. Only the new consecutive pair is aligned and
+// the new version is merged into the sorted rows in one linear pass, so the
+// cost is one alignment plus a merge regardless of how many versions the
+// archive holds, and the result is identical to rebuilding the archive over
+// the extended history. Archives are persistent: the append never writes
+// memory shared with a Clone (which is O(1)).
 // On any error (a script that does not apply, cancellation) the archive is
 // unchanged. The session's options must match the ones the archive was
 // built with; see archive.Archive.AppendVersion.

@@ -2,7 +2,8 @@ package rdfalign
 
 // Maintenance benchmarks: ApplyDelta (session maintenance) against a full
 // re-alignment on a million-triple stream corpus with a ~0.1% churn edit
-// script, and archive AppendVersion against a full Build. Successive
+// script, and archive AppendVersion against a full Build and on the
+// server's delta path. Successive
 // iterations alternate the delta with its inverse, so every iteration
 // applies a real edit of the same size without the graph drifting.
 // Regenerate the BENCH_refine.json entries with:
@@ -123,9 +124,55 @@ func BenchmarkApplyDelta(b *testing.B) {
 	})
 }
 
+// deltaArchive returns a two-version archive of a ~200k-triple stream
+// corpus (the second version is the first edited by fwd) plus the ~0.1%
+// churn edit script fwd and its inverse. Archives are persistent, so every
+// run can extend clones of the shared archive.
+func deltaArchive(b *testing.B) (*Archive, *EditScript, *EditScript) {
+	deltaArchiveOnce.Do(func() {
+		cfg := StreamConfig{Triples: 200_000, Seed: 1, Churn: 0.001, Growth: 1.0000001}
+		var buf bytes.Buffer
+		if _, err := StreamNTriples(&buf, cfg); err != nil {
+			panic(err)
+		}
+		g1, err := ParseNTriplesString(buf.String(), "serve-v1", WithParseWorkers(8))
+		if err != nil {
+			panic(err)
+		}
+		buf.Reset()
+		if _, _, err := StreamDelta(&buf, cfg); err != nil {
+			panic(err)
+		}
+		fwd, err := ParseEditScript(&buf)
+		if err != nil {
+			panic(err)
+		}
+		g2, err := ApplyEditScript(g1, fwd)
+		if err != nil {
+			panic(err)
+		}
+		a, err := BuildArchive([]*Graph{g1, g2}, ArchiveOptions{})
+		if err != nil {
+			panic(err)
+		}
+		deltaArchiveA, deltaArchiveFwd, deltaArchiveBwd = a, fwd, fwd.Inverse()
+	})
+	return deltaArchiveA, deltaArchiveFwd, deltaArchiveBwd
+}
+
+var (
+	deltaArchiveOnce sync.Once
+	deltaArchiveA    *Archive
+	deltaArchiveFwd  *EditScript
+	deltaArchiveBwd  *EditScript
+)
+
 // BenchmarkAppendVersion measures extending a three-version archive by one
 // version: AppendVersion on a clone (one new alignment) against a full
-// four-version Build (three alignments plus re-chaining).
+// four-version Build (three alignments plus re-chaining). The delta
+// sub-benchmark is the server's delta path on a ~200k-triple archive: Clone
+// plus an edit-script AppendVersion, alternating the script with its
+// inverse so the archive gains a real edit per op without drifting.
 func BenchmarkAppendVersion(b *testing.B) {
 	graphs := make([]*Graph, 4)
 	for v := 1; v <= 4; v++ {
@@ -160,6 +207,23 @@ func BenchmarkAppendVersion(b *testing.B) {
 			if _, err := BuildArchive(graphs, opt); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	b.Run("delta", func(b *testing.B) {
+		a, fwd, bwd := deltaArchive(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := bwd
+			if i%2 == 1 {
+				s = fwd
+			}
+			next := a.Clone()
+			if _, err := next.AppendVersion(nil, s, opt); err != nil {
+				b.Fatal(err)
+			}
+			a = next
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package rdfalign
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -106,6 +108,83 @@ func TestAdaptiveOptionPublicAPI(t *testing.T) {
 		}
 		if got := a.MatchesOfURI("http://a/name"); len(got) != 1 || got[0] != "http://b/name" {
 			t.Errorf("%v with Adaptive: name matches = %v", m, got)
+		}
+	}
+}
+
+// TestArchiveDeltaAppendsMatchBuild: extending an archive the way the
+// server's delta job does — ApplyDelta on the live session, Clone,
+// AppendVersion of the maintained target — serialises to the same snapshot
+// bytes as a one-shot build over the same versions, and leaves every
+// earlier archive state byte-identical.
+func TestArchiveDeltaAppendsMatchBuild(t *testing.T) {
+	cfg := StreamConfig{Triples: 5000, Seed: 4, Churn: 0.01, Growth: 1.0000001}
+	var buf bytes.Buffer
+	if _, err := StreamNTriples(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	g1, err := ParseNTriplesString(buf.String(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, _, err := StreamDelta(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := ParseEditScript(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := ApplyEditScript(g1, fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	al, err := NewAligner(WithMethod(Hybrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*Graph{g1, g2}
+	arch, err := al.BuildArchive(ctx, graphs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := al.Align(ctx, g1, g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(a *Archive) []byte {
+		var b bytes.Buffer
+		if err := WriteArchiveSnapshot(&b, a); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	var states []*Archive
+	var written [][]byte
+	for i, s := range []*EditScript{fwd.Inverse(), fwd, fwd.Inverse(), fwd} {
+		next, err := a.ApplyDelta(ctx, s)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		states, written = append(states, arch), append(written, snapshot(arch))
+		arch2 := arch.Clone()
+		if _, err := al.AppendVersion(ctx, arch2, next.Target(), nil); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		graphs = append(graphs, next.Target())
+		a, arch = next, arch2
+	}
+	want, err := al.BuildArchive(ctx, graphs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshot(arch), snapshot(want)) {
+		t.Fatal("delta-appended archive serialises differently from a one-shot build")
+	}
+	for i, st := range states {
+		if !bytes.Equal(snapshot(st), written[i]) {
+			t.Fatalf("archive state %d changed after later appends", i)
 		}
 	}
 }

@@ -19,8 +19,10 @@
 package archive
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"rdfalign/internal/core"
 	"rdfalign/internal/delta"
@@ -36,28 +38,30 @@ type Interval struct {
 	From, To int
 }
 
-// labelRun records an entity's label over a version interval.
-type labelRun struct {
-	label rdf.Label
-	iv    Interval
-}
-
 // TripleRow is one archived triple with its presence intervals.
 type TripleRow struct {
 	S, P, O   EntityID
 	Intervals []Interval
 }
 
-// Archive is the compact multi-version store.
+// Archive is the compact multi-version store. Archives are persistent: an
+// append builds the new state in freshly allocated columns and swaps them
+// into the receiver, never writing memory another Archive value can reach.
+// Any number of readers can therefore share an archive with a writer
+// appending to its Clone.
 type Archive struct {
 	versions int
-	labels   [][]labelRun // per entity
-	rows     []TripleRow
-	rowIndex map[[3]EntityID]int
+	// labels[e] are the label runs of entity e. After Build or an append
+	// they all sub-slice one arena.
+	labels [][]LabelRun
+	// rows are strictly (S, P, O)-sorted; after Build or an append their
+	// Intervals all sub-slice one arena.
+	rows []TripleRow
 	// totalTriples is Σ |E_v| over the input versions.
 	totalTriples int
 	// tail is the live construction state AppendVersion extends; nil for
 	// archives loaded from raw columns (FromRaw), which cannot append.
+	// A tail is never modified: an append installs a new one.
 	tail *archiveTail
 }
 
@@ -68,7 +72,61 @@ type Archive struct {
 type archiveTail struct {
 	lastGraph *rdf.Graph
 	cur       []EntityID
-	lastSeen  map[string]EntityID
+	resume    resumeMap
+}
+
+// resumeMap maps a URI label to the entity that most recently carried it,
+// so an entity can resume after skipping versions (URIs are persistent
+// identifiers; cf. the paper's disappearing-and-reappearing EFO URIs,
+// §5.1). Renamed-across-a-gap entities cannot be resumed this way and
+// start fresh — conservative but sound.
+//
+// The map is persistent: base and over are never written once published,
+// so archive states share them. over holds the entries newer than base; an
+// update copies over alone and folds it into a fresh base once it outgrows
+// an eighth of base, so a version costs time in proportion to the URIs
+// whose entry it changes.
+type resumeMap struct {
+	base, over map[string]EntityID
+}
+
+func (m resumeMap) get(uri string) (EntityID, bool) {
+	if e, ok := m.over[uri]; ok {
+		return e, true
+	}
+	e, ok := m.base[uri]
+	return e, ok
+}
+
+// with returns m with the URIs of the given nodes of g mapped to their
+// entities.
+func (m resumeMap) with(g *rdf.Graph, entity []EntityID, nodes []rdf.NodeID) resumeMap {
+	var upd []rdf.NodeID
+	for _, n := range nodes {
+		if e, ok := m.get(g.Label(n).Value); !ok || e != entity[n] {
+			upd = append(upd, n)
+		}
+	}
+	if len(upd) == 0 {
+		return m
+	}
+	var out resumeMap
+	var dst map[string]EntityID
+	if len(m.over)+len(upd) > len(m.base)/8 {
+		dst = maps.Clone(m.base)
+		if dst == nil {
+			dst = make(map[string]EntityID, len(m.over)+len(upd))
+		}
+		out.base = dst
+	} else {
+		dst = make(map[string]EntityID, len(m.over)+len(upd))
+		out.base, out.over = m.base, dst
+	}
+	maps.Copy(dst, m.over)
+	for _, n := range upd {
+		dst[g.Label(n).Value] = entity[n]
+	}
+	return out
 }
 
 // BuildOptions configures archive construction.
@@ -115,68 +173,62 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 	if opt.Theta == 0 {
 		opt.Theta = similarity.DefaultTheta
 	}
-	a := &Archive{versions: len(graphs), rowIndex: make(map[[3]EntityID]int)}
-
-	// lastSeen maps a URI label to the entity that most recently carried
-	// it, so an entity can resume after skipping versions (URIs are
-	// persistent identifiers; cf. the paper's disappearing-and-
-	// reappearing EFO URIs, §5.1). Renamed-across-a-gap entities cannot
-	// be resumed this way and start fresh — conservative but sound.
-	lastSeen := make(map[string]EntityID)
-
-	// Entity assignment for version 0: every node is fresh.
-	cur := make([]EntityID, graphs[0].NumNodes())
-	for i := range cur {
-		cur[i] = a.newEntity()
-	}
 	if err := opt.Hooks.Err(); err != nil {
 		return nil, err
 	}
-	a.recordVersion(graphs[0], 0, cur)
-	noteURIs(graphs[0], cur, lastSeen)
+	// Version 0: every node is a fresh entity.
+	g0 := graphs[0]
+	cur := make([]EntityID, g0.NumNodes())
+	var uris []rdf.NodeID
+	for n := range cur {
+		cur[n] = EntityID(n)
+		if g0.IsURI(rdf.NodeID(n)) {
+			uris = append(uris, rdf.NodeID(n))
+		}
+	}
+	a := &Archive{}
+	a.commit(g0, cur, len(cur), uris)
 	opt.Hooks.Round(core.StageArchive, 1, len(graphs))
 
-	for v := 0; v+1 < len(graphs); v++ {
+	for v := 1; v < len(graphs); v++ {
 		if err := opt.Hooks.Err(); err != nil {
 			return nil, err
 		}
-		g1, g2 := graphs[v], graphs[v+1]
-		next, err := a.appendAligned(g1, g2, v+1, cur, lastSeen, opt)
-		if err != nil {
+		if err := a.appendAligned(graphs[v], opt); err != nil {
 			return nil, err
 		}
-		cur = next
-		opt.Hooks.Round(core.StageArchive, v+2, len(graphs))
+		opt.Hooks.Round(core.StageArchive, v+1, len(graphs))
 	}
-	a.tail = &archiveTail{lastGraph: graphs[len(graphs)-1], cur: cur, lastSeen: lastSeen}
-	a.finalise()
 	return a, nil
 }
 
-// appendAligned aligns the consecutive pair (g1, g2), chains entities across
-// the alignment and records g2 as version v. It is the per-version step
+// appendAligned aligns the tail's graph with g2, chains entities across the
+// alignment and records g2 as the next version. It is the per-version step
 // shared by Build's loop and AppendVersion. The alignment is the only
-// fallible part and runs before any mutation, so an error leaves the archive
-// exactly as it was.
-func (a *Archive) appendAligned(g1, g2 *rdf.Graph, v int, cur []EntityID,
-	lastSeen map[string]EntityID, opt BuildOptions) ([]EntityID, error) {
-	part, c, err := alignPair(g1, g2, opt)
+// fallible part and runs before the archive changes, so an error leaves the
+// archive exactly as it was.
+func (a *Archive) appendAligned(g2 *rdf.Graph, opt BuildOptions) error {
+	part, c, err := alignPair(a.tail.lastGraph, g2, opt)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	next := make([]EntityID, g2.NumNodes())
-	chainEntities(a, c, part, cur, next, g2, lastSeen, opt.ResolveAmbiguous)
-	a.recordVersion(g2, v, next)
-	noteURIs(g2, next, lastSeen)
-	return next, nil
+	entities, changed := chainEntities(c, part, a.tail, next, len(a.labels), opt.ResolveAmbiguous)
+	a.commit(g2, next, entities, changed)
+	return nil
 }
 
 // AppendVersion extends the archive with one more version. The new version
 // is either g, or — when g is nil — the result of applying the edit script
 // to the newest archived version's graph. Only the new consecutive pair is
-// aligned, so appending costs one alignment regardless of how many versions
-// the archive already holds; a full Build over the extended history produces
-// an identical archive (same rows, labels, stats and snapshots).
+// aligned, and the new version is merged into the (S, P, O)-sorted rows in
+// one linear pass, so appending costs one pair alignment plus a merge
+// linear in the archive's size, regardless of how many versions it holds.
+// A full Build over the extended history produces an identical archive
+// (same rows, labels, stats and snapshots).
+//
+// The new state is written to freshly allocated columns; memory shared
+// with a Clone, or handed out by Rows and Raw, is never written.
 //
 // AppendVersion is transactional: on any error — an edit script that does
 // not apply, or cancellation through opt.Hooks — the archive is unchanged
@@ -208,57 +260,19 @@ func (a *Archive) AppendVersion(g *rdf.Graph, script *delta.Script, opt BuildOpt
 		}
 		g2 = res.Graph
 	}
-	next, err := a.appendAligned(a.tail.lastGraph, g2, a.versions, a.tail.cur, a.tail.lastSeen, opt)
-	if err != nil {
+	if err := a.appendAligned(g2, opt); err != nil {
 		return nil, err
 	}
-	a.versions++
-	a.tail.lastGraph = g2
-	a.tail.cur = next
-	a.finalise()
 	opt.Hooks.Round(core.StageArchive, a.versions, a.versions)
 	return g2, nil
 }
 
-// Clone returns a deep copy of the archive, including the construction tail
-// (the newest version's graph is shared — graphs are immutable). Appends to
-// the clone leave the original untouched.
+// Clone returns an archive that appends independently of a. Archives are
+// persistent (see AppendVersion), so the copy shares all of a's storage,
+// including the construction tail, and costs O(1).
 func (a *Archive) Clone() *Archive {
-	b := &Archive{versions: a.versions, totalTriples: a.totalTriples}
-	b.labels = make([][]labelRun, len(a.labels))
-	for e, runs := range a.labels {
-		b.labels[e] = append([]labelRun(nil), runs...)
-	}
-	b.rows = make([]TripleRow, len(a.rows))
-	for i, r := range a.rows {
-		r.Intervals = append([]Interval(nil), r.Intervals...)
-		b.rows[i] = r
-	}
-	if a.rowIndex != nil {
-		b.rowIndex = make(map[[3]EntityID]int, len(a.rowIndex))
-		for k, v := range a.rowIndex {
-			b.rowIndex[k] = v
-		}
-	}
-	if a.tail != nil {
-		b.tail = &archiveTail{
-			lastGraph: a.tail.lastGraph,
-			cur:       append([]EntityID(nil), a.tail.cur...),
-			lastSeen:  make(map[string]EntityID, len(a.tail.lastSeen)),
-		}
-		for k, v := range a.tail.lastSeen {
-			b.tail.lastSeen[k] = v
-		}
-	}
-	return b
-}
-
-func noteURIs(g *rdf.Graph, entity []EntityID, lastSeen map[string]EntityID) {
-	g.Nodes(func(n rdf.NodeID) {
-		if g.IsURI(n) {
-			lastSeen[g.Label(n).Value] = entity[n]
-		}
-	})
+	b := *a
+	return &b
 }
 
 func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combined, error) {
@@ -288,21 +302,26 @@ func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combi
 // inherits the entity of its alignment partner when the partnership is
 // mutual and unambiguous (exactly one node on each side of the class);
 // failing that, a URI node resumes the dormant entity that last carried its
-// label (identity across gaps); everything else starts a fresh entity.
-func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []EntityID,
-	g2 *rdf.Graph, lastSeen map[string]EntityID, resolve bool) {
+// label (identity across gaps); everything else starts a fresh entity,
+// numbered from entities up. It fills next and returns the entity count
+// afterwards, plus the URI nodes of the target whose resume entry may have
+// changed: all of them except those continuing the entity of a source node
+// with the same URI, whose entry already names that entity.
+func chainEntities(c *rdf.Combined, p *core.Partition, t *archiveTail, next []EntityID,
+	entities int, resolve bool) (int, []rdf.NodeID) {
+	g1, g2 := c.SourceGraph(), c.TargetGraph()
+	// Colors are dense interner IDs, so classes are indexed by color.
 	type classInfo struct {
 		src       rdf.NodeID
-		srcN, tgN int
+		srcN, tgN int32
 	}
-	classes := make(map[core.Color]*classInfo)
-	for i := 0; i < c.NumNodes(); i++ {
-		col := p.Color(rdf.NodeID(i))
-		ci := classes[col]
-		if ci == nil {
-			ci = &classInfo{}
-			classes[col] = ci
-		}
+	var maxColor core.Color
+	for _, col := range p.Colors() {
+		maxColor = max(maxColor, col)
+	}
+	classes := make([]classInfo, maxColor+1)
+	for i, col := range p.Colors() {
+		ci := &classes[col]
 		if i < c.N1 {
 			ci.src = rdf.NodeID(i)
 			ci.srcN++
@@ -310,18 +329,25 @@ func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []E
 			ci.tgN++
 		}
 	}
-	used := make(map[EntityID]bool, len(next))
+	used := make([]bool, entities)
+	var changed []rdf.NodeID
 	for j := range next {
 		next[j] = -1
-		col := p.Color(c.FromTarget(rdf.NodeID(j)))
-		ci := classes[col]
+		n := rdf.NodeID(j)
+		ci := &classes[p.Color(c.FromTarget(n))]
 		if ci.srcN == 1 && ci.tgN == 1 {
-			next[j] = cur[ci.src]
+			next[j] = t.cur[ci.src]
 			used[next[j]] = true
+			if g2.IsURI(n) && g1.Label(ci.src) == g2.Label(n) {
+				continue
+			}
+		}
+		if g2.IsURI(n) {
+			changed = append(changed, n)
 		}
 	}
 	if resolve {
-		resolveAmbiguous(a, c, p, cur, next, used)
+		resolveAmbiguous(c, p, t.cur, next, used)
 	}
 	for j := range next {
 		if next[j] != -1 {
@@ -329,68 +355,174 @@ func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []E
 		}
 		n := rdf.NodeID(j)
 		if g2.IsURI(n) {
-			if e, ok := lastSeen[g2.Label(n).Value]; ok && !used[e] {
+			if e, ok := t.resume.get(g2.Label(n).Value); ok && !used[e] {
 				next[j] = e
 				used[e] = true
 				continue
 			}
 		}
-		next[j] = a.newEntity()
+		next[j] = EntityID(entities)
+		entities++
+	}
+	return entities, changed
+}
+
+// commit records g as version a.versions under the node→entity assignment
+// entity (injective, with entity IDs below entities) and installs the
+// result: fresh label and row columns, and a fresh tail whose resume map
+// carries the given URI nodes' entries.
+func (a *Archive) commit(g *rdf.Graph, entity []EntityID, entities int, uris []rdf.NodeID) {
+	v := a.versions
+	nodeOf := make([]int32, entities)
+	for e := range nodeOf {
+		nodeOf[e] = -1
+	}
+	for n, e := range entity {
+		nodeOf[e] = int32(n)
+	}
+	var resume resumeMap
+	if a.tail != nil {
+		resume = a.tail.resume
+	}
+	*a = Archive{
+		versions:     v + 1,
+		labels:       mergeLabels(a.labels, g, v, nodeOf),
+		rows:         mergeRows(a.rows, g, v, entity, nodeOf),
+		totalTriples: a.totalTriples + g.NumTriples(),
+		tail:         &archiveTail{lastGraph: g, cur: entity, resume: resume.with(g, entity, uris)},
 	}
 }
 
-func (a *Archive) newEntity() EntityID {
-	a.labels = append(a.labels, nil)
-	return EntityID(len(a.labels) - 1)
-}
-
-// recordVersion stores labels and triples of one version.
-func (a *Archive) recordVersion(g *rdf.Graph, v int, entity []EntityID) {
-	g.Nodes(func(n rdf.NodeID) {
-		e := entity[n]
-		runs := a.labels[e]
-		l := g.Label(n)
-		if len(runs) > 0 && runs[len(runs)-1].label == l && runs[len(runs)-1].iv.To == v-1 {
-			a.labels[e][len(runs)-1].iv.To = v
-		} else {
-			a.labels[e] = append(a.labels[e], labelRun{label: l, iv: Interval{v, v}})
+// mergeLabels returns the label runs of old extended by version v, in which
+// entity e is node nodeOf[e] of g (-1: absent). A present entity extends
+// its last run when that run ends at v-1 with the same label, and opens a
+// new run otherwise. All runs are copied into one fresh arena.
+func mergeLabels(old [][]LabelRun, g *rdf.Graph, v int, nodeOf []int32) [][]LabelRun {
+	extend := make([]bool, len(nodeOf))
+	size := 0
+	for e, n := range nodeOf {
+		var runs []LabelRun
+		if e < len(old) {
+			runs = old[e]
 		}
-	})
-	for _, t := range g.Triples() {
-		a.totalTriples++
-		key := [3]EntityID{entity[t.S], entity[t.P], entity[t.O]}
-		ri, ok := a.rowIndex[key]
-		if !ok {
-			a.rowIndex[key] = len(a.rows)
-			a.rows = append(a.rows, TripleRow{S: key[0], P: key[1], O: key[2],
-				Intervals: []Interval{{v, v}}})
+		size += len(runs)
+		if n < 0 {
 			continue
 		}
-		ivs := a.rows[ri].Intervals
-		if ivs[len(ivs)-1].To == v-1 {
-			a.rows[ri].Intervals[len(ivs)-1].To = v
-		} else if ivs[len(ivs)-1].To < v {
-			a.rows[ri].Intervals = append(ivs, Interval{v, v})
+		if k := len(runs) - 1; k >= 0 && runs[k].Interval.To == v-1 && runs[k].Label == g.Label(rdf.NodeID(n)) {
+			extend[e] = true
+		} else {
+			size++
 		}
 	}
+	labels := make([][]LabelRun, len(nodeOf))
+	arena := make([]LabelRun, 0, size)
+	for e, n := range nodeOf {
+		start := len(arena)
+		if e < len(old) {
+			arena = append(arena, old[e]...)
+		}
+		switch {
+		case n < 0:
+		case extend[e]:
+			arena[len(arena)-1].Interval.To = v
+		default:
+			arena = append(arena, LabelRun{Label: g.Label(rdf.NodeID(n)), Interval: Interval{v, v}})
+		}
+		labels[e] = arena[start:len(arena):len(arena)]
+	}
+	return labels
 }
 
-// finalise orders rows deterministically and rebuilds the row index over
-// the new positions so a later AppendVersion can extend existing rows.
-func (a *Archive) finalise() {
-	sort.Slice(a.rows, func(i, j int) bool {
-		x, y := a.rows[i], a.rows[j]
-		if x.S != y.S {
-			return x.S < y.S
-		}
-		if x.P != y.P {
-			return x.P < y.P
-		}
-		return x.O < y.O
-	})
-	for i, r := range a.rows {
-		a.rowIndex[[3]EntityID{r.S, r.P, r.O}] = i
+// rowKey is a row's (S, P, O) entity triple.
+type rowKey struct{ s, p, o EntityID }
+
+func cmpKey(x, y rowKey) int {
+	if x.s != y.s {
+		return cmp.Compare(x.s, y.s)
 	}
+	if x.p != y.p {
+		return cmp.Compare(x.p, y.p)
+	}
+	return cmp.Compare(x.o, y.o)
+}
+
+func keyOf(r *TripleRow) rowKey { return rowKey{r.S, r.P, r.O} }
+
+// mergeRows returns the rows of old extended by version v: g's triples
+// mapped through entity, in a linear merge against the (S, P, O)-sorted
+// old rows. A row continuing from v-1 extends its last interval, a
+// returning row gains an interval, a new row is placed in order. All
+// intervals are copied into one fresh arena.
+func mergeRows(old []TripleRow, g *rdf.Graph, v int, entity []EntityID, nodeOf []int32) []TripleRow {
+	// The new version's keys in (S, P, O) order: subjects in entity order,
+	// each subject's few (P, O) pairs sorted in place. An injective entity
+	// assignment keeps the keys distinct.
+	keys := make([]rowKey, 0, g.NumTriples())
+	for e, n := range nodeOf {
+		if n < 0 {
+			continue
+		}
+		start := len(keys)
+		for _, ed := range g.Out(rdf.NodeID(n)) {
+			keys = append(keys, rowKey{EntityID(e), entity[ed.P], entity[ed.O]})
+		}
+		if len(keys)-start > 1 {
+			slices.SortFunc(keys[start:], cmpKey)
+		}
+	}
+	// Size the columns exactly with a counting merge, then fill them.
+	numRows, numIvs := len(old), 0
+	for i := range old {
+		numIvs += len(old[i].Intervals)
+	}
+	i := 0
+	for _, k := range keys {
+		for i < len(old) && cmpKey(keyOf(&old[i]), k) < 0 {
+			i++
+		}
+		if i < len(old) && keyOf(&old[i]) == k {
+			if ivs := old[i].Intervals; ivs[len(ivs)-1].To != v-1 {
+				numIvs++
+			}
+			i++
+		} else {
+			numRows++
+			numIvs++
+		}
+	}
+	rows := make([]TripleRow, 0, numRows)
+	arena := make([]Interval, 0, numIvs)
+	emit := func(k rowKey, start int) {
+		rows = append(rows, TripleRow{S: k.s, P: k.p, O: k.o, Intervals: arena[start:len(arena):len(arena)]})
+	}
+	i = 0
+	for _, k := range keys {
+		for ; i < len(old) && cmpKey(keyOf(&old[i]), k) < 0; i++ {
+			start := len(arena)
+			arena = append(arena, old[i].Intervals...)
+			emit(keyOf(&old[i]), start)
+		}
+		start := len(arena)
+		if i < len(old) && keyOf(&old[i]) == k {
+			arena = append(arena, old[i].Intervals...)
+			if last := &arena[len(arena)-1]; last.To == v-1 {
+				last.To = v
+			} else {
+				arena = append(arena, Interval{v, v})
+			}
+			i++
+		} else {
+			arena = append(arena, Interval{v, v})
+		}
+		emit(k, start)
+	}
+	for ; i < len(old); i++ {
+		start := len(arena)
+		arena = append(arena, old[i].Intervals...)
+		emit(keyOf(&old[i]), start)
+	}
+	return rows
 }
 
 // Versions returns the number of archived versions.
@@ -409,8 +541,8 @@ func (a *Archive) Rows() []TripleRow { return a.rows }
 // entity is present there.
 func (a *Archive) LabelAt(e EntityID, v int) (rdf.Label, bool) {
 	for _, run := range a.labels[e] {
-		if run.iv.From <= v && v <= run.iv.To {
-			return run.label, true
+		if run.Interval.From <= v && v <= run.Interval.To {
+			return run.Label, true
 		}
 	}
 	return rdf.Label{}, false
@@ -423,7 +555,7 @@ func (a *Archive) Snapshot(v int) (*rdf.Graph, error) {
 }
 
 // snapshotEntities reconstructs version v together with the node→entity
-// assignment of the reconstructed graph — the mapping recordVersion
+// assignment of the reconstructed graph — the mapping commit
 // originally held for that version, re-expressed over the snapshot's node
 // IDs. Blank nodes cannot be mapped back through labels (every blank
 // carries the same ⊥ label), so the assignment is collected while the
@@ -525,31 +657,24 @@ func (a *Archive) RebuildTail() error {
 			return fmt.Errorf("archive: rebuild tail: node %d of version %d has no entity", n, last)
 		}
 	}
-	// lastSeen maps each URI to the entity that most recently carried it:
-	// replaying noteURIs version by version is equivalent to taking, per
+	// The resume map holds, per URI, the entity that most recently carried
+	// it: replaying the versions one by one is equivalent to taking, per
 	// URI, the run with the greatest end version (at any single version a
 	// URI labels at most one node, hence one entity).
 	lastSeen := make(map[string]EntityID)
 	lastTo := make(map[string]int)
 	for e, runs := range a.labels {
 		for _, run := range runs {
-			if run.label.Kind != rdf.URI {
+			if run.Label.Kind != rdf.URI {
 				continue
 			}
-			if to, ok := lastTo[run.label.Value]; !ok || run.iv.To > to {
-				lastTo[run.label.Value] = run.iv.To
-				lastSeen[run.label.Value] = EntityID(e)
+			if to, ok := lastTo[run.Label.Value]; !ok || run.Interval.To > to {
+				lastTo[run.Label.Value] = run.Interval.To
+				lastSeen[run.Label.Value] = EntityID(e)
 			}
 		}
 	}
-	// Raw-column loads also lack the row index recordVersion extends.
-	if a.rowIndex == nil {
-		a.rowIndex = make(map[[3]EntityID]int, len(a.rows))
-		for i, r := range a.rows {
-			a.rowIndex[[3]EntityID{r.S, r.P, r.O}] = i
-		}
-	}
-	a.tail = &archiveTail{lastGraph: g, cur: cur, lastSeen: lastSeen}
+	a.tail = &archiveTail{lastGraph: g, cur: cur, resume: resumeMap{base: lastSeen}}
 	return nil
 }
 

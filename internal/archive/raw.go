@@ -6,15 +6,15 @@ import (
 	"rdfalign/internal/rdf"
 )
 
-// LabelRun is the exported form of one entity's label over a version
-// interval, used by the snapshot serialiser (internal/snapshot).
+// LabelRun is one entity's label over a version interval; Raw exposes the
+// runs to the snapshot serialiser (internal/snapshot).
 type LabelRun struct {
 	Label    rdf.Label
 	Interval Interval
 }
 
 // Raw exposes the archive's internal columns for serialisation. The
-// invariants of a finalised archive hold:
+// invariants of a built archive hold:
 //
 //   - Rows is sorted strictly ascending by (S, P, O) entity IDs,
 //   - every row has at least one interval; intervals per row are
@@ -33,31 +33,25 @@ type Raw struct {
 }
 
 // Raw returns the archive's internal columns. Slices alias the archive's
-// storage and must not be modified.
+// storage and must not be modified; appends never write them, so they
+// stay valid after the archive grows.
 func (a *Archive) Raw() Raw {
-	labels := make([][]LabelRun, len(a.labels))
-	for e, runs := range a.labels {
-		out := make([]LabelRun, len(runs))
-		for i, run := range runs {
-			out[i] = LabelRun{Label: run.label, Interval: run.iv}
-		}
-		labels[e] = out
-	}
-	return Raw{Versions: a.versions, Labels: labels, Rows: a.rows}
+	return Raw{Versions: a.versions, Labels: a.labels, Rows: a.rows}
 }
 
 // FromRaw reconstructs an Archive from its columns, validating the
-// finalised-archive invariants so that corrupt input errors here instead
+// built-archive invariants so that corrupt input errors here instead
 // of misbehaving in LabelAt or Snapshot later. TotalTriples is recomputed
 // from the interval lengths, so GatherStats on a loaded archive matches
-// the freshly built one exactly.
+// the freshly built one exactly. The archive keeps r's slices: the caller
+// must not modify them afterwards, and appending to the archive (after
+// RebuildTail) never does.
 func FromRaw(r Raw) (*Archive, error) {
 	if r.Versions < 1 {
 		return nil, fmt.Errorf("archive: raw archive has %d versions", r.Versions)
 	}
-	a := &Archive{versions: r.Versions, labels: make([][]labelRun, len(r.Labels)), rows: r.Rows}
+	a := &Archive{versions: r.Versions, labels: r.Labels, rows: r.Rows}
 	for e, runs := range r.Labels {
-		conv := make([]labelRun, len(runs))
 		prevTo := -1
 		for i, run := range runs {
 			if run.Label.Kind != rdf.URI && run.Label.Kind != rdf.Literal && run.Label.Kind != rdf.Blank {
@@ -67,9 +61,7 @@ func FromRaw(r Raw) (*Archive, error) {
 				return nil, fmt.Errorf("archive: raw entity %d run %d: %w", e, i, err)
 			}
 			prevTo = run.Interval.To
-			conv[i] = labelRun{label: run.Label, iv: run.Interval}
 		}
-		a.labels[e] = conv
 	}
 	prev := [3]EntityID{-1, -1, -1}
 	for i, row := range r.Rows {

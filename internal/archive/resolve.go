@@ -51,8 +51,8 @@ const resolveProfileTheta = 0.5
 // ambiguous classes by occurrence-profile overlap. next entries of -1 are
 // unassigned; the function fills matched ones and marks their entities
 // used.
-func resolveAmbiguous(a *Archive, c *rdf.Combined, p *core.Partition,
-	cur, next []EntityID, used map[EntityID]bool) {
+func resolveAmbiguous(c *rdf.Combined, p *core.Partition,
+	cur, next []EntityID, used []bool) {
 	// Group unresolved nodes per ambiguous class.
 	type group struct {
 		src, tgt []rdf.NodeID

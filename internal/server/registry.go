@@ -13,9 +13,13 @@
 // newest version). A head is immutable once published (its lazy caches
 // are sync.Once-guarded), so readers loading the pointer always see a
 // consistent snapshot and never a torn state. Writers (version uploads,
-// delta applications) build a new head on a cloned archive and publish it
-// with one atomic swap, serialised per entry; a delta job that lost the
-// race surfaces the session's ErrStaleAlignment as ErrConflict (HTTP 409).
+// delta applications) build a new head on a clone of the archive and
+// publish it with one atomic swap, serialised per entry; a delta job that
+// lost the race surfaces the session's ErrStaleAlignment as ErrConflict
+// (HTTP 409). Archives are persistent, so the clone is O(1) and shares
+// every column with the published head: an append costs one pair
+// alignment plus a merge linear in the archive, and never writes memory a
+// reader can see.
 package server
 
 import (
@@ -88,9 +92,11 @@ type head struct {
 	versionsOnce sync.Once
 	versionInfos []VersionInfo
 
-	uriOnce   sync.Once
-	anchorURI map[string]rdfalign.NodeID
-	latestURI map[string]rdfalign.NodeID
+	// anchorURI/latestURI index the URIs of anchor and latest. A head
+	// whose side shows the same graph as the previous head's shares that
+	// head's index, so a delta, which keeps the anchor, reuses it.
+	anchorURI *uriIndex
+	latestURI *uriIndex
 
 	// depthAligns caches the k-bounded alignments of the head's pair, one
 	// per queried depth. Heads are immutable, so the cache never needs
@@ -109,65 +115,86 @@ func (h *head) Stats() rdfalign.ArchiveStats {
 }
 
 // VersionInfos returns per-version node/triple counts, computed once per
-// head from the label runs and row intervals.
+// head from the label runs and row intervals: each run or interval adds
+// one to every version it spans, so one difference array per count keeps
+// the pass linear in the archive's size.
 func (h *head) VersionInfos() []VersionInfo {
 	h.versionsOnce.Do(func() {
-		infos := make([]VersionInfo, h.version)
-		for v := range infos {
-			infos[v].Version = v
-		}
-		for e := 0; e < h.arch.NumEntities(); e++ {
-			for v := 0; v < h.version; v++ {
-				if _, ok := h.arch.LabelAt(archive.EntityID(e), v); ok {
-					infos[v].Nodes++
-				}
+		raw := h.arch.Raw()
+		nodes := make([]int, h.version+1)
+		triples := make([]int, h.version+1)
+		for _, runs := range raw.Labels {
+			for _, run := range runs {
+				nodes[run.Interval.From]++
+				nodes[run.Interval.To+1]--
 			}
 		}
-		for _, row := range h.arch.Rows() {
+		for _, row := range raw.Rows {
 			for _, iv := range row.Intervals {
-				for v := iv.From; v <= iv.To; v++ {
-					infos[v].Triples++
-				}
+				triples[iv.From]++
+				triples[iv.To+1]--
 			}
+		}
+		infos := make([]VersionInfo, h.version)
+		n, t := 0, 0
+		for v := range infos {
+			n += nodes[v]
+			t += triples[v]
+			infos[v] = VersionInfo{Version: v, Nodes: n, Triples: t}
 		}
 		h.versionInfos = infos
 	})
 	return h.versionInfos
 }
 
-// buildURIIndexes indexes URI labels of the aligned pair's graphs;
-// Graph.FindURI is a linear scan, far too slow for the query path.
-func (h *head) buildURIIndexes() {
-	h.uriOnce.Do(func() {
-		index := func(g *rdfalign.Graph) map[string]rdfalign.NodeID {
-			if g == nil {
-				return nil
-			}
-			m := make(map[string]rdfalign.NodeID, g.NumURIs())
-			g.Nodes(func(n rdfalign.NodeID) {
-				if g.IsURI(n) {
-					m[g.Label(n).Value] = n
-				}
-			})
-			return m
+// uriIndex is a graph's URI → node index, built on first use;
+// Graph.FindURI is a linear scan, far too slow for the query path. A graph
+// is immutable, so heads showing the same graph share one index.
+type uriIndex struct {
+	g    *rdfalign.Graph
+	once sync.Once
+	m    map[string]rdfalign.NodeID
+}
+
+// find resolves a URI in the indexed graph; a nil graph holds none.
+func (x *uriIndex) find(uri string) (rdfalign.NodeID, bool) {
+	x.once.Do(func() {
+		if x.g == nil {
+			return
 		}
-		h.anchorURI = index(h.anchor)
-		h.latestURI = index(h.latest)
+		x.m = make(map[string]rdfalign.NodeID, x.g.NumURIs())
+		x.g.Nodes(func(n rdfalign.NodeID) {
+			if x.g.IsURI(n) {
+				x.m[x.g.Label(n).Value] = n
+			}
+		})
 	})
+	n, ok := x.m[uri]
+	return n, ok
+}
+
+// uriIndexOf returns prev's index of g when prev shows g on either side,
+// and a fresh one otherwise.
+func uriIndexOf(prev *head, g *rdfalign.Graph) *uriIndex {
+	if prev != nil && g != nil {
+		switch g {
+		case prev.anchor:
+			return prev.anchorURI
+		case prev.latest:
+			return prev.latestURI
+		}
+	}
+	return &uriIndex{g: g}
 }
 
 // findAnchor resolves a URI in the alignment's source (anchor) graph.
 func (h *head) findAnchor(uri string) (rdfalign.NodeID, bool) {
-	h.buildURIIndexes()
-	n, ok := h.anchorURI[uri]
-	return n, ok
+	return h.anchorURI.find(uri)
 }
 
 // findLatest resolves a URI in the alignment's target (newest) graph.
 func (h *head) findLatest(uri string) (rdfalign.NodeID, bool) {
-	h.buildURIIndexes()
-	n, ok := h.latestURI[uri]
-	return n, ok
+	return h.latestURI.find(uri)
 }
 
 // alignAt returns the head's alignment at the given depth bound: depth <= 0
@@ -319,8 +346,10 @@ func (r *Registry) entry(name string) (*entry, error) {
 
 // newHead assembles and caches the derived-state shell around an archive
 // state. al is the entry's aligner, kept for depth-bounded query-path
-// alignments. Callers publish the result with entry.head.Store.
-func newHead(al *rdfalign.Aligner, arch *archive.Archive, anchorVersion int, anchor, latest *rdfalign.Graph, align *rdfalign.Alignment) *head {
+// alignments; prev, the head being superseded (nil for none), lends its
+// URI indexes of graphs the new head still shows. Callers publish the
+// result with entry.head.Store.
+func newHead(al *rdfalign.Aligner, prev *head, arch *archive.Archive, anchorVersion int, anchor, latest *rdfalign.Graph, align *rdfalign.Alignment) *head {
 	v := arch.Versions()
 	return &head{
 		arch:          arch,
@@ -330,6 +359,8 @@ func newHead(al *rdfalign.Aligner, arch *archive.Archive, anchorVersion int, anc
 		latest:        latest,
 		align:         align,
 		version:       v,
+		anchorURI:     uriIndexOf(prev, anchor),
+		latestURI:     uriIndexOf(prev, latest),
 		entOnce:       make([]sync.Once, v),
 		entIdx:        make([]map[string]archive.EntityID, v),
 	}
@@ -369,7 +400,7 @@ func (r *Registry) Create(ctx context.Context, name string, arch *archive.Archiv
 			return fmt.Errorf("server: align %q head pair: %w", name, err)
 		}
 	}
-	e.head.Store(newHead(eal, arch, anchorVersion, anchor, latest, align))
+	e.head.Store(newHead(eal, nil, arch, anchorVersion, anchor, latest, align))
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -382,8 +413,10 @@ func (r *Registry) Create(ctx context.Context, name string, arch *archive.Archiv
 
 // AppendGraph aligns g as a new version of the named archive and
 // publishes the new head: the session re-anchors at the previously newest
-// version, the archive is extended on a clone (AppendVersion), and the
-// swap is atomic. sink, when non-nil, observes the alignment progress.
+// version, the archive is extended on an O(1) clone (AppendVersion: one
+// pair alignment plus a linear merge), and the swap is atomic. The new
+// anchor is the old head's newest graph, so its URI index carries over.
+// sink, when non-nil, observes the alignment progress.
 func (r *Registry) AppendGraph(ctx context.Context, name string, g *rdfalign.Graph, sink progressFunc) (*head, error) {
 	e, err := r.entry(name)
 	if err != nil {
@@ -403,15 +436,17 @@ func (r *Registry) AppendGraph(ctx context.Context, name string, g *rdfalign.Gra
 	if _, err := e.al.AppendVersion(ctx, arch2, g, nil); err != nil {
 		return nil, err
 	}
-	h := newHead(e.al, arch2, cur.version-1, cur.latest, g, align)
+	h := newHead(e.al, cur, arch2, cur.version-1, cur.latest, g, align)
 	e.head.Store(h)
 	return h, nil
 }
 
 // AppendDelta applies an edit script to the head captured at submission
 // time: the session alignment is maintained in place (ApplyDelta — cost
-// proportional to the edit), the archive is extended on a clone, and the
-// new head is published atomically. A captured head that is no longer
+// proportional to the edit), the archive is extended on an O(1) clone
+// (AppendVersion: one pair alignment plus a linear merge), and the new
+// head is published atomically, keeping the anchor and its URI index. A
+// captured head that is no longer
 // current fails with ErrConflict: deltas are authored against a specific
 // version, so a lost race must surface instead of applying to a different
 // base — when a concurrent delta advanced the same session lineage, that
@@ -445,7 +480,7 @@ func (r *Registry) AppendDelta(ctx context.Context, name string, captured *head,
 		if _, err := e.al.AppendVersion(ctx, arch2, g2, nil); err != nil {
 			return nil, err
 		}
-		h := newHead(e.al, arch2, cur.version-1, captured.latest, g2, align)
+		h := newHead(e.al, cur, arch2, cur.version-1, captured.latest, g2, align)
 		e.head.Store(h)
 		return h, nil
 	}
@@ -468,7 +503,7 @@ func (r *Registry) AppendDelta(ctx context.Context, name string, captured *head,
 	if _, err := e.al.AppendVersion(ctx, arch2, a2.Target(), nil); err != nil {
 		return nil, err
 	}
-	h := newHead(e.al, arch2, captured.anchorVersion, captured.anchor, a2.Target(), a2)
+	h := newHead(e.al, cur, arch2, captured.anchorVersion, captured.anchor, a2.Target(), a2)
 	e.head.Store(h)
 	return h, nil
 }
