@@ -199,43 +199,28 @@ func BenchmarkArchiveExperiment(b *testing.B) {
 }
 
 // Refinement-engine micro-benchmarks: every BenchmarkRefine* workload runs
-// under three evaluation strategies — the full-recolor reference
-// (core.Engine.FullRecolor), the default incremental worklist, and the
-// parallel worklist (4 workers gathering and interning concurrently through
-// the sharded interner) — so the speedups of dirty-frontier recoloring and
-// of concurrent interning are measured directly. The CI smoke step runs
-// these with -benchtime=1x; the benchmark regression gate compares fresh
-// runs against the BENCH_refine.json baseline with benchstat and
-// cmd/benchgate (single-core runners make worklist-par a goroutine-overhead
-// measurement, which the baseline records as such).
+// the engine (the incremental worklist) as the /worklist sub-benchmark, the
+// name its BENCH_refine.json baselines carry. The CI smoke step runs these
+// with -benchtime=1x; the benchmark regression gate compares fresh runs
+// against the baseline with benchstat and cmd/benchgate.
 
-// benchRefineEngines runs one workload under the full-recolor reference,
-// the worklist engine and the parallel worklist as sub-benchmarks.
+// benchRefineEngines runs one workload on the engine as the /worklist
+// sub-benchmark.
 func benchRefineEngines(b *testing.B, run func(e *core.Engine) error) {
-	for _, cfg := range []struct {
-		name string
-		eng  core.Engine
-	}{
-		{"full", core.Engine{FullRecolor: true}},
-		{"worklist", core.Engine{}},
-		{"worklist-par", core.Engine{Workers: 4}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := run(&cfg.eng); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("worklist", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := run(&core.Engine{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // refineChainGraph builds a chain of n blank nodes ending in a URI — the
-// deepest possible fixpoint (one node stabilises per round), where the
-// full-recolor engine pays O(n) recolors per round for O(n) rounds while
-// the worklist's frontier stays O(1).
+// deepest possible fixpoint (one node stabilises per round), where a full
+// round would pay O(n) recolors for O(n) rounds while the worklist's
+// frontier stays O(1).
 func refineChainGraph(n int) *rdf.Graph {
 	b := rdf.NewBuilder("refine-chain")
 	p := b.URI("p")
@@ -258,9 +243,9 @@ func BenchmarkRefineDeblankChain(b *testing.B) {
 
 // refineWideDeepGraph is the workload the worklist engine exists for: a
 // wide region of nWide blank nodes that stabilises after the first round
-// next to a deep chain of nDeep blanks that needs nDeep rounds. The
-// full-recolor engine recolors all nWide+nDeep nodes for nDeep rounds; the
-// worklist's frontier drops to the chain suffix after round one.
+// next to a deep chain of nDeep blanks that needs nDeep rounds. Full rounds
+// would recolor all nWide+nDeep nodes for nDeep rounds; the worklist's
+// frontier drops to the chain suffix after round one.
 func refineWideDeepGraph(nWide, nDeep int) *rdf.Graph {
 	b := rdf.NewBuilder("refine-wide-deep")
 	p := b.URI("p")
@@ -304,14 +289,13 @@ func depthBenchName(k int) string {
 
 // BenchmarkRefineDepth measures what bounded depth buys on the wide+deep
 // deblank workload: the deep chain needs nDeep rounds exactly, so a small
-// bound skips nearly all of them. The full-recolor engine pays every round
-// in full, making it the strategy where the bound's speedup is largest —
-// the PR 9 acceptance floor (≥3× at some k over the exact fixpoint) is
-// measured here.
+// bound skips nearly all of them. On the worklist engine those rounds are
+// cheap (the frontier is the chain suffix), so the bound saves the deep
+// tail, not whole-graph rounds.
 func BenchmarkRefineDepth(b *testing.B) {
 	g := refineWideDeepGraph(20000, 500)
 	for _, k := range depthBenchBounds {
-		e := &core.Engine{FullRecolor: true, MaxDepth: k}
+		e := &core.Engine{MaxDepth: k}
 		b.Run(depthBenchName(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -58,10 +58,9 @@ func main() {
 		resolveAmbig = flag.Bool("resolve-ambiguous", false, "greedily resolve ambiguous blank-node matches")
 		queryWorkers = flag.Int("query-workers", 16, "max concurrently executing queries")
 		alignJobs    = flag.Int("align-jobs", 1, "max concurrently running alignment jobs")
-		alignWorkers = flag.Int("align-workers", 0, "worker goroutines per alignment (0 = all cores)")
+		alignWorkers = flag.Int("align-workers", 0, "overlap-matching worker goroutines per alignment (0 = all cores)")
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-query deadline, including budget wait")
 		maxBody      = flag.Int64("max-body-bytes", server.DefaultMaxUploadBytes, "max request body bytes; oversized uploads are rejected with 413")
-		maxUpload    = flag.Int64("max-upload", 0, "deprecated alias for -max-body-bytes (takes precedence when set)")
 		jobHistory   = flag.Int("job-history", server.DefaultJobHistory, "terminal jobs retained per archive before the oldest are evicted")
 		storageMode  = flag.String("storage", "mem", "alignment working-set storage: mem (Go heap) or disk (mmap-backed scratch files + spilled signature grouping in -storage-dir; scratch space is reclaimed only at process exit)")
 		storageDir   = flag.String("storage-dir", "", "directory for -storage disk scratch and spill files (default: the system temp directory)")
@@ -80,14 +79,10 @@ func main() {
 	})
 	flag.Parse()
 
-	limit := *maxBody
-	if *maxUpload > 0 {
-		limit = *maxUpload
-	}
-	if err := validateFlags(*queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, limit, *storageMode); err != nil {
+	if err := validateFlags(*queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, *maxBody, *storageMode); err != nil {
 		log.Fatal(err)
 	}
-	if err := run(*addr, archives, *method, *theta, *resolveAmbig, *queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, limit, *storageMode, *storageDir); err != nil {
+	if err := run(*addr, archives, *method, *theta, *resolveAmbig, *queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, *maxBody, *storageMode, *storageDir); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -97,7 +92,7 @@ func main() {
 // deadlock every query; a zero upload bound would reject every body). The
 // error wording follows similarity.ValidateTheta's convention: the value,
 // its accepted range, and what the special value selects.
-func validateFlags(queryWorkers, alignJobs, alignWorkers, jobHistory int, queryTimeout time.Duration, maxUpload int64, storageMode string) error {
+func validateFlags(queryWorkers, alignJobs, alignWorkers, jobHistory int, queryTimeout time.Duration, maxBody int64, storageMode string) error {
 	if queryWorkers < 1 {
 		return fmt.Errorf("-query-workers %d outside [1, ∞)", queryWorkers)
 	}
@@ -113,8 +108,8 @@ func validateFlags(queryWorkers, alignJobs, alignWorkers, jobHistory int, queryT
 	if queryTimeout <= 0 {
 		return fmt.Errorf("-query-timeout %v outside (0, ∞)", queryTimeout)
 	}
-	if maxUpload < 1 {
-		return fmt.Errorf("-max-body-bytes %d outside [1, ∞) bytes", maxUpload)
+	if maxBody < 1 {
+		return fmt.Errorf("-max-body-bytes %d outside [1, ∞) bytes", maxBody)
 	}
 	if storageMode != "mem" && storageMode != "disk" {
 		return fmt.Errorf("unknown -storage mode %q (want mem or disk)", storageMode)

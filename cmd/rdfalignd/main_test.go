@@ -11,8 +11,8 @@ import (
 // errors naming the flag, the value and the accepted range; the defaults
 // and other in-range values pass.
 func TestValidateFlags(t *testing.T) {
-	ok := func(queryWorkers, alignJobs, alignWorkers, jobHistory int, queryTimeout time.Duration, maxUpload int64) error {
-		return validateFlags(queryWorkers, alignJobs, alignWorkers, jobHistory, queryTimeout, maxUpload, "mem")
+	ok := func(queryWorkers, alignJobs, alignWorkers, jobHistory int, queryTimeout time.Duration, maxBody int64) error {
+		return validateFlags(queryWorkers, alignJobs, alignWorkers, jobHistory, queryTimeout, maxBody, "mem")
 	}
 	if err := ok(16, 1, 0, 64, 10*time.Second, 1<<30); err != nil {
 		t.Fatalf("defaults rejected: %v", err)

@@ -94,46 +94,43 @@
 //
 // # Performance
 //
-// The refinement fixpoints of the paper's default outbound recoloring run
-// on an incremental worklist engine (internal/core): each round recolors
-// only the nodes whose outbound neighbourhood changed in the previous
-// round, found through a lazily built reverse-dependency adjacency, and
+// Every refinement fixpoint — including the extended characterisations
+// of WithContextual, WithAdaptive and WithKeyPredicates — runs on one
+// incremental worklist engine (internal/core): each round recolors only
+// the nodes whose recoloring reads a node that changed in the previous
+// round, found through a lazily built reverse-dependency adjacency (plus
+// the inbound and predicate-occurrence readers the extensions add), and
 // stabilisation is decided from the round's change list. The result is
 // identical — color for color — to exhaustive recoloring, but the
 // per-round cost is proportional to the work actually remaining; on graphs
 // where most nodes stabilise early the engine is one to two orders of
-// magnitude faster (see BENCH_refine.json).
+// magnitude faster than recoloring everything (see BENCH_refine.json).
+// Refinement runs sequentially.
 //
 // Refinement colors are interned by hash: each recolor's canonical
 // (previous color, pair list) signature is hashed directly off the pair
 // slices — no byte-key serialisation — and resolved through an
 // open-addressed table that falls back to structural comparison on hash
 // collision, so collisions cost a comparison, never a wrong answer.
-// WithParallelism chunks large frontiers across a worker pool whose
-// workers intern concurrently through a sharded (lock-striped) interner; a
-// post-round rank-reconciliation pass assigns colors in the sequential
-// engine's order, so colorings are bit-identical across worker counts and
-// hash seeds (property-tested). The extended characterisations
-// (WithContextual, WithAdaptive, WithKeyPredicates) read inbound and
-// predicate-occurrence neighbourhoods the outbound dependency frontier
-// does not cover, so they refine by exhaustive recoloring as before.
+// Colors are assigned in interning order, so colorings are bit-identical
+// across hash seeds (property-tested).
 //
-// The Overlap method's matching phases (Algorithm 2) scale the same two
-// ways. WithParallelism also fans the matching scans out across workers:
+// The Overlap method's matching phases (Algorithm 2) scale two ways.
+// WithParallelism fans the matching scans out across workers:
 // candidates are generated from a shared read-only inverted index and each
 // worker verifies its own source nodes (σ/edit-distance verification is
 // the dominant per-round cost), with per-worker edge batches merged in
 // source order — the discovered pairs, and therefore the final colorings
 // and weights, are bit-identical for every worker count, extending the
-// engine's determinism guarantee across all three fixpoints and the
-// matching phases. And the per-round non-literal match is incremental: the
-// inverted index and the characterisation/σNL caches survive across rounds
-// and are repaired from the nodes Enrich and Propagate actually moved
-// (core.Engine.PropagateChanged exposes the worklist's change lists)
-// instead of being rebuilt while the unaligned sets only shrink —
-// oracle-tested against a from-scratch rebuild every round. Component
-// enrichment runs a heap-based Dijkstra, so a pathologically large
-// component of near-duplicate literals no longer costs O(|component|³).
+// engine's determinism guarantee to the matching phases. And the per-round
+// non-literal match is incremental: the inverted index and the
+// characterisation/σNL caches survive across rounds and are repaired from
+// the nodes Enrich and Propagate actually moved (core.Engine.PropagateChanged
+// exposes the worklist's change lists) instead of being rebuilt while the
+// unaligned sets only shrink — oracle-tested against a from-scratch
+// rebuild every round. Component enrichment runs a heap-based Dijkstra, so
+// a pathologically large component of near-duplicate literals no longer
+// costs O(|component|³).
 // Cancellation latency inside a matching scan is bounded per candidate
 // batch, not per source node.
 //
@@ -149,10 +146,10 @@
 // are indistinguishable by outbound paths of length at most k, a strictly
 // coarser alignment that trades ambiguity beyond depth k for a fraction
 // of the exact fixpoint's cost on deep graphs. The cap counts rounds
-// uniformly across the full-recolor, worklist and parallel strategies, so
-// the bit-identity guarantee holds per bound: for every k the engines
-// produce identical colorings across worker counts and hash seeds
-// (oracle- and property-tested), a fixpoint that stabilises before round
+// exactly as k synchronous full rounds would, so the bit-identity
+// guarantee holds per bound: for every k the coloring is identical across
+// hash seeds and to a full-recolor oracle (oracle- and property-tested),
+// a fixpoint that stabilises before round
 // k is unaffected, and a k-bounded ApplyDelta equals a k-bounded
 // from-scratch re-alignment. On the CLI the bound is -max-depth; the
 // server answers per-query ?depth=k from cached per-k alignments.

@@ -150,10 +150,10 @@ type BuildOptions struct {
 	// refinements (the context/adaptive/key extensions); the zero value
 	// is the paper's default outbound recoloring.
 	Refine core.RefineOptions
-	// Workers parallelises refinement recoloring (see core.Engine) and,
-	// with UseOverlap, the per-pair overlap matching phases
-	// (similarity.OverlapOptions.Workers) when > 1; <= 1 runs
-	// sequentially. Archives are bit-identical for every worker count.
+	// Workers parallelises the per-pair overlap matching phases with
+	// UseOverlap (similarity.OverlapOptions.Workers) when > 1; <= 1 runs
+	// sequentially, and refinement is always sequential. Archives are
+	// bit-identical for every worker count.
 	Workers int
 	// Hooks threads cancellation and progress through the per-pair
 	// alignments; Build additionally checks the context before each pair
@@ -278,7 +278,7 @@ func (a *Archive) Clone() *Archive {
 func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combined, error) {
 	c := rdf.Union(g1, g2)
 	in := core.NewInterner()
-	eng := &core.Engine{Opt: opt.Refine, Hooks: opt.Hooks, Workers: opt.Workers}
+	eng := &core.Engine{Opt: opt.Refine, Hooks: opt.Hooks}
 	hybrid, _, err := eng.Hybrid(c, in)
 	if err != nil {
 		return nil, nil, err

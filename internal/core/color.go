@@ -53,15 +53,10 @@ type ColorPair struct {
 // against the composites store, so collisions cost a comparison, never a
 // wrong answer. Colors are assigned in interning order, making colorings
 // independent of the hash seed. The historical string-keyed implementation
-// survives as stringInterner (stringintern.go) and is used only by the
-// differential tests.
+// survives as the test-only stringInterner (stringintern_test.go), the
+// reference of the differential tests.
 //
-// An Interner is not safe for concurrent mutation. Lookups (including the
-// read-only probes of Composite on already-interned signatures) are safe
-// concurrently with each other as long as no call allocates; the sharded
-// concurrent interner (shardintern.go) builds on that by buffering new
-// signatures in lock-striped shards during a parallel round and committing
-// them in a deterministic post-round reconciliation pass.
+// An Interner is not safe for concurrent use.
 type Interner struct {
 	labels map[rdf.Label]Color
 	table  sigTable
@@ -121,7 +116,7 @@ func NewInterner() *Interner {
 }
 
 // NewInternerSeeded is NewInterner with an explicit signature-hash seed.
-// The seed perturbs hash-table and shard placement only; the colors an
+// The seed perturbs hash-table placement only; the colors an
 // interner assigns depend solely on the order of interning calls, so
 // colorings are bit-identical across seeds (property-tested).
 func NewInternerSeeded(seed uint64) *Interner {
@@ -223,7 +218,10 @@ func (in *Interner) Base(l rdf.Label) Color {
 func (in *Interner) Composite(prev Color, pairs []ColorPair) Color {
 	sortPairs(pairs)
 	pairs = dedupPairs(pairs)
-	return in.compositeCanonical(prev, pairs)
+	if in.stablePairs(prev, pairs) {
+		return prev
+	}
+	return in.internPairs(sigHashPairs(in.seed, prev, pairs), prev, pairs)
 }
 
 // stablePairs reports the stable-tree collapse condition for plain
@@ -242,19 +240,9 @@ func (in *Interner) stablePairs(prev Color, pairs []ColorPair) bool {
 	return false
 }
 
-// compositeCanonical is Composite for pair sets that are already sorted and
-// deduplicated (the worklist gather phases canonicalise in place).
-func (in *Interner) compositeCanonical(prev Color, pairs []ColorPair) Color {
-	if in.stablePairs(prev, pairs) {
-		return prev
-	}
-	h := sigHashPairs(in.seed, prev, pairs)
-	return in.internPairs(h, prev, pairs)
-}
-
 // internPairs resolves the plain-composite signature (prev, pairs) under
-// hash h, allocating a new color on a miss. Split from compositeCanonical
-// so the forced-collision tests can intern distinct signatures under one
+// hash h, allocating a new color on a miss. Split from Composite so the
+// forced-collision tests can intern distinct signatures under one
 // hash and exercise the structural-comparison fallback directly.
 func (in *Interner) internPairs(h uint64, prev Color, pairs []ColorPair) Color {
 	if c, ok := in.lookupPairs(h, prev, pairs); ok {
@@ -305,16 +293,6 @@ func (ps *pairStore) store(src []ColorPair) []ColorPair {
 	lo := len(ps.cur)
 	ps.cur = append(ps.cur, src...)
 	return ps.cur[lo:len(ps.cur):len(ps.cur)]
-}
-
-// CompositeDirected is Composite extended with a second pair set gathered
-// from *incoming* edges — the color (λ(n), {(λ(p), λ(o))…}, {(λ(p),
-// λ(s))…}) of the context-aware refinement variant (§3.3: "the proposed
-// framework could easily accommodate approaches that consider the incoming
-// edges"). The same stable-tree collapse applies when both pair sets are
-// unchanged.
-func (in *Interner) CompositeDirected(prev Color, outPairs, inPairs []ColorPair) Color {
-	return in.CompositeLists(prev, outPairs, inPairs)
 }
 
 // CompositeLists is the general composite over any number of pair lists

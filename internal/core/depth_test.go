@@ -14,26 +14,25 @@ var depthTestBounds = []int{1, 2, 3, 0}
 // TestDepthBoundedOracle validates the MaxDepth semantics against the
 // synchronized-round naive oracle on random graphs: for every bound k the
 // engine's partition after k applied rounds captures exactly the relation
-// R_k (NaiveKBisimulation), for the default worklist and the full-recolor
-// reference alike.
+// R_k (NaiveKBisimulation), for the worklist engine and the full-recolor
+// oracle alike.
 func TestDepthBoundedOracle(t *testing.T) {
 	f := func(rngSeed int64) bool {
 		r := rand.New(rand.NewSource(rngSeed))
 		g := randomGraph(r, "depth", 2+r.Intn(4), r.Intn(5), r.Intn(3), r.Intn(16))
 		for _, k := range []int{0, 1, 2, 3, 4} {
 			want := NaiveKBisimulation(g, k)
-			for _, e := range []*Engine{
-				{MaxDepth: k},
-				{MaxDepth: k, FullRecolor: true},
-			} {
-				p, _, err := e.Bisim(g, NewInterner())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !FromPartition(p).Equal(want) {
-					t.Logf("seed %d k=%d FullRecolor=%v: partition differs from R_k", rngSeed, k, e.FullRecolor)
-					return false
-				}
+			p, _, err := (&Engine{MaxDepth: k}).Bisim(g, NewInterner())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !FromPartition(p).Equal(want) {
+				t.Logf("seed %d k=%d: engine partition differs from R_k", rngSeed, k)
+				return false
+			}
+			if full, _ := (oracle{MaxDepth: k}).Bisim(g, NewInterner()); !FromPartition(full).Equal(want) {
+				t.Logf("seed %d k=%d: oracle partition differs from R_k", rngSeed, k)
+				return false
 			}
 		}
 		return true
@@ -44,37 +43,25 @@ func TestDepthBoundedOracle(t *testing.T) {
 }
 
 // TestDepthDeterminismWorkersAndSeeds extends the bit-identity guarantee to
-// every depth bound: on a frontier large enough to engage the sharded
-// interner, the k-bounded colorings of the full-recolor reference, the
-// worklist, and their parallel variants must be color-for-color identical
-// (not merely equivalent) across worker counts and hash seeds, with the
-// same applied-round count.
+// every depth bound: on a wide+deep workload, the k-bounded colorings of
+// the worklist engine must be color-for-color identical (not merely
+// equivalent) to the full-recolor oracle's, across hash seeds, with the
+// same applied-round count. (The worker axis the name refers to went away
+// with the parallel engine.)
 func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
-	g := wideDeepTestGraph(2*parallelThreshold, 40)
+	g := wideDeepTestGraph(512, 40)
 	for _, k := range depthTestBounds {
-		var want *Partition
-		var wantIters int
-		for _, full := range []bool{false, true} {
-			for _, seed := range internTestSeeds {
-				for _, workers := range []int{1, 2, 4, 8} {
-					e := &Engine{Workers: workers, MaxDepth: k, FullRecolor: full}
-					p, iters, err := e.Deblank(g, NewInternerSeeded(seed))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want, wantIters = p, iters
-						continue
-					}
-					if iters != wantIters {
-						t.Errorf("k=%d full=%v seed %#x workers %d: %d rounds, want %d",
-							k, full, seed, workers, iters, wantIters)
-					}
-					if !samePartition(want, p) {
-						t.Errorf("k=%d full=%v seed %#x workers %d: coloring diverged",
-							k, full, seed, workers)
-					}
-				}
+		want, wantIters := (oracle{MaxDepth: k}).Deblank(g, NewInterner())
+		for _, seed := range internTestSeeds {
+			p, iters, err := (&Engine{MaxDepth: k}).Deblank(g, NewInternerSeeded(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if iters != wantIters {
+				t.Errorf("k=%d seed %#x: %d rounds, oracle %d", k, seed, iters, wantIters)
+			}
+			if !samePartition(want, p) {
+				t.Errorf("k=%d seed %#x: coloring diverged from the oracle", k, seed)
 			}
 		}
 		if k > 0 && wantIters != k {
@@ -84,34 +71,24 @@ func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
 }
 
 // TestDepthWeightedDeterminism is the weighted counterpart: k-bounded
-// Propagate must yield bit-identical colors and weights across the
-// full-recolor and worklist strategies, worker counts and hash seeds.
+// Propagate must yield bit-identical colors and weights to the
+// full-recolor oracle across hash seeds.
 func TestDepthWeightedDeterminism(t *testing.T) {
-	c := rdf.Union(wideDeepTestGraph(parallelThreshold, 30), wideDeepTestGraph(parallelThreshold, 30))
+	c := rdf.Union(wideDeepTestGraph(256, 30), wideDeepTestGraph(256, 30))
 	for _, k := range depthTestBounds {
-		var want *Weighted
-		for _, full := range []bool{false, true} {
-			for _, seed := range internTestSeeds {
-				for _, workers := range []int{1, 4} {
-					in := NewInternerSeeded(seed)
-					xi := NewWeighted(TrivialPartition(c.Graph, in))
-					out, _, err := (&Engine{Workers: workers, MaxDepth: k, FullRecolor: full}).Propagate(c, xi, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = out
-						continue
-					}
-					if !samePartition(want.P, out.P) {
-						t.Errorf("k=%d full=%v seed %#x workers %d: weighted coloring diverged", k, full, seed, workers)
-					}
-					for n := range out.W {
-						if out.W[n] != want.W[n] {
-							t.Fatalf("k=%d full=%v seed %#x workers %d: weight of node %d = %v, want %v",
-								k, full, seed, workers, n, out.W[n], want.W[n])
-						}
-					}
+		want, _ := (oracle{MaxDepth: k}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		for _, seed := range internTestSeeds {
+			xi := NewWeighted(TrivialPartition(c.Graph, NewInternerSeeded(seed)))
+			out, _, err := (&Engine{MaxDepth: k}).Propagate(c, xi, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePartition(want.P, out.P) {
+				t.Errorf("k=%d seed %#x: weighted coloring diverged", k, seed)
+			}
+			for n := range out.W {
+				if out.W[n] != want.W[n] {
+					t.Fatalf("k=%d seed %#x: weight of node %d = %v, want %v", k, seed, n, out.W[n], want.W[n])
 				}
 			}
 		}

@@ -1,25 +1,14 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"slices"
-
 	"rdfalign/internal/rdf"
 )
 
-// parallelThreshold is the minimum recolor-set size at which the parallel
-// refinement path pays for its coordination overhead.
-const parallelThreshold = 256
-
 // Engine bundles the cross-cutting configuration of one alignment session:
 // the refinement extensions (direction, edge filter, adaptive predicate
-// handling), the cancellation/progress hooks, and the worker count for
-// parallel recoloring. Every fixpoint in the package flows through an
-// Engine; the package-level functions (Refine, DeblankPartition,
-// HybridPartition, RefineWeighted, Propagate and their Opts/Parallel
-// variants) are thin wrappers over suitably configured Engines and keep
-// their historical uncancellable signatures.
+// handling), the cancellation/progress hooks, and the depth bound. Every
+// fixpoint in the package flows through an Engine, and every refinement
+// fixpoint runs on the one incremental worklist loop (worklist.go).
 //
 // Engine methods check the hooks' context once per round and return its
 // error as soon as cancellation is observed; with a nil context they never
@@ -31,120 +20,42 @@ type Engine struct {
 	Opt RefineOptions
 	// Hooks carries cancellation and per-round progress callbacks.
 	Hooks Hooks
-	// Workers > 1 parallelises recoloring across that many goroutines
-	// when the options permit (the parallel path implements only the
-	// default outbound recoloring); <= 1 runs sequentially. Workers
-	// gather and intern concurrently (sharded interner + post-round rank
-	// reconciliation), and every worker count yields the identical
-	// coloring.
-	Workers int
 	// MaxDepth > 0 caps every refinement fixpoint at that many applied
 	// rounds — bounded-depth k-bisimulation (the localized/k-bounded
 	// variant of the literature; cheap approximate alignment). 0 runs the
-	// exact unbounded fixpoint. The cap counts applied rounds uniformly
-	// across all evaluation strategies: at the top of iteration i the
-	// current partition holds exactly i applied rounds in the full-recolor,
-	// parallel and worklist loops alike (the worklist only recolors nodes
-	// the full round would move, and the discarded quiescent round is never
-	// counted), so for every k the engines produce bit-identical colorings
-	// for every worker count and interner seed — the same determinism
-	// guarantee the unbounded fixpoint carries. A fixpoint that stabilises
-	// before round k is unaffected: bounded and unbounded results coincide.
+	// exact unbounded fixpoint. At the top of iteration i the current
+	// partition holds exactly i applied rounds (the worklist only recolors
+	// nodes a full round would move, and the discarded quiescent round is
+	// never counted), so for every k the coloring is bit-identical across
+	// interner seeds and equal to k synchronous full rounds — the same
+	// determinism guarantee the unbounded fixpoint carries. A fixpoint
+	// that stabilises before round k is unaffected: bounded and unbounded
+	// results coincide.
 	MaxDepth int
-	// FullRecolor disables the incremental worklist and recolors the
-	// entire recolor set every round — the pre-worklist reference
-	// behavior, kept for validation and benchmarking. Both strategies
-	// produce the identical coloring; the worklist is strictly faster on
-	// multi-round fixpoints. Engines with extended options (Opt) always
-	// recolor fully: the extended characterisations read inbound and
-	// predicate-occurrence neighbourhoods, which the outbound dependency
-	// frontier does not cover.
-	FullRecolor bool
 }
 
 // useOpts reports whether recoloring must go through the extended path.
 func (e *Engine) useOpts() bool { return e.Opt.extended() || e.Opt.Filter != nil }
 
 // Refine computes the refinement fixpoint BisimRefine*_X(λ) (Definition 4)
-// under the engine's options, reporting one StageRefine round per iteration
-// and aborting with the context's error on cancellation. See Refine for the
-// stabilisation criterion.
+// under the engine's options: the one-step refinement BisimRefine_X(λ) of
+// §3.2 equation (2) — nodes in x are recolored with recolor_λ, all other
+// nodes keep their color — is applied until it yields a partition
+// equivalent to its input (the paper's Λⁿ(λ) ≡ Λⁿ⁺¹(λ) with n minimal),
+// and Refine returns Λⁿ(λ) together with n. It reports one StageRefine
+// round per iteration and aborts with the context's error on cancellation.
+// The input partition is not modified.
 //
-// The default strategy is the incremental worklist engine (worklist.go):
-// after each round only the nodes of x whose outbound neighbourhood changed
-// are recolored, and stabilisation is decided from the round's change list.
-// FullRecolor selects the full-recolor reference loop instead; extended
-// options always use it (see Engine.FullRecolor).
+// Stabilisation is detected by grouping equivalence rather than by class
+// counting: while refinement of label partitions is strictly monotone, the
+// hybrid/propagation uses start from partitions that already contain
+// composite colors, and a recolored node may legitimately *join* such a
+// class when its derivation tree coincides with an aligned node's tree
+// (paper Example 4: "the depth of the trees may be greater than the number
+// of iterations … for aligned nodes colors from the deblanking alignments
+// are used").
 func (e *Engine) Refine(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	if !e.useOpts() && !e.FullRecolor {
-		return e.refineWorklist(g, p, x, nil)
-	}
-	if e.Workers > 1 && !e.useOpts() && len(x) >= parallelThreshold {
-		return e.refineParallelFull(g, p, x)
-	}
-	return e.refineFull(g, p, x)
-}
-
-// refineFull is the full-recolor reference loop: every round recolors all
-// of x via RefineStep/RefineStepOpts and compares the whole colorings for
-// grouping equivalence. It is the only loop implementing the extended
-// recoloring options.
-func (e *Engine) refineFull(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	cur := p
-	for iter := 0; ; iter++ {
-		if err := e.Hooks.Err(); err != nil {
-			return nil, 0, err
-		}
-		if e.MaxDepth > 0 && iter >= e.MaxDepth {
-			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
-		}
-		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: Refine did not stabilise after %d iterations", iter))
-		}
-		var next *Partition
-		if e.useOpts() {
-			next = RefineStepOpts(g, cur, x, e.Opt)
-		} else {
-			next = RefineStep(g, cur, x)
-		}
-		if equivalentColors(cur.colors, next.colors) {
-			return cur, iter, nil
-		}
-		cur = next
-		e.Hooks.RoundDirty(StageRefine, iter+1, len(x))
-	}
-}
-
-// refineParallelFull is the full-recolor worker-pool loop: the gather
-// phase of every round spans all of x (see parallelGatherer for the phase
-// structure and the color-identity guarantee). The worklist engine
-// parallelises the same way but over its dirty frontier only; this loop is
-// kept as the FullRecolor reference.
-func (e *Engine) refineParallelFull(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	pg := newParallelGatherer(e.Workers)
-	var changes []change
-	cur := p
-	for iter := 0; ; iter++ {
-		if err := e.Hooks.Err(); err != nil {
-			return nil, 0, err
-		}
-		if e.MaxDepth > 0 && iter >= e.MaxDepth {
-			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
-		}
-		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: Refine (parallel) did not stabilise after %d iterations", iter))
-		}
-		changes = pg.round(g, cur, x, changes[:0])
-		next := cur.Clone()
-		for _, ch := range changes {
-			next.colors[ch.n] = ch.new
-		}
-		if equivalentColors(cur.colors, next.colors) {
-			return cur, iter, nil
-		}
-		cur = next
-		e.Hooks.RoundDirty(StageRefine, iter+1, len(x))
-	}
+	return e.refineWorklist(g, p, x, nil)
 }
 
 // RefineChanged is Refine additionally returning the ascending,
@@ -153,32 +64,14 @@ func (e *Engine) refineParallelFull(g *rdf.Graph, p *Partition, x []rdf.NodeID) 
 // strict input/output difference (a node that changes and later reverts
 // stays listed) and always a subset of the recolor set, so incremental
 // consumers (the overlap matcher's persistent index) can invalidate exactly
-// the dependents of the listed nodes. With FullRecolor or extended options
-// there are no worklist change lists; the change list is then the exact
-// input/output difference over the recolor set.
+// the dependents of the listed nodes.
 func (e *Engine) RefineChanged(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, []rdf.NodeID, error) {
-	if !e.useOpts() && !e.FullRecolor {
-		tracked := newChangeTracker(p.Len())
-		out, iters, err := e.refineWorklist(g, p, x, tracked)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return out, iters, tracked.sorted(), nil
-	}
-	out, iters, err := e.Refine(g, p, x)
+	tracked := newChangeTracker(p.Len())
+	out, iters, err := e.refineWorklist(g, p, x, tracked)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	seen := make([]bool, p.Len())
-	var changed []rdf.NodeID
-	for _, n := range x {
-		if !seen[n] && out.colors[n] != p.colors[n] {
-			seen[n] = true
-			changed = append(changed, n)
-		}
-	}
-	slices.Sort(changed)
-	return out, iters, changed, nil
+	return out, iters, tracked.sorted(), nil
 }
 
 // Bisim computes λ_Bisim = BisimRefine*_{N_G}(ℓ_G), which by Proposition 1
@@ -240,53 +133,32 @@ func (e *Engine) HybridFromDeblank(c *rdf.Combined, deblank *Partition) (*Partit
 	return e.Refine(c.Graph, blanked, un)
 }
 
-// RefineWeighted computes BisimRefine*_X(ξ) (§4.5): weighted refinement
-// iterated until the partition and the weights stabilise (max weight change
-// < eps), reporting one StagePropagate round per iteration. Weighted
-// recoloring always uses the paper's default outbound characterisation; the
-// engine's Opt does not apply. See the package-level RefineWeighted for the
-// convergence argument.
-// The default strategy is the incremental worklist engine (worklist.go),
-// which also honours Workers on large frontiers (concurrent gather,
-// intern and reweight); FullRecolor selects the full-recolor reference
-// loop. Every configuration produces bit-identical colors and weights.
+// RefineWeighted computes BisimRefine*_X(ξ) (§4.5): the one-step weighted
+// refinement — colors of nodes in x refined exactly as in the unweighted
+// case (through the same hash-interned recolor, so weighted and unweighted
+// fixpoints share one color universe per interner), weights recomputed
+// with reweight from the pre-round weights — iterated until the partition
+// and the weights stabilise (max weight change < eps). It reports one
+// StagePropagate round per iteration. Weighted recoloring always uses the
+// paper's default outbound characterisation; the engine's Opt does not
+// apply. Weights of nodes in x start at 0 in every use in the paper and
+// only increase during refinement, which guarantees convergence; the
+// iteration cap turns any violation of that contract into a panic.
 func (e *Engine) RefineWeighted(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64) (*Weighted, int, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
-	if !e.FullRecolor {
-		return e.refineWeightedWorklist(g, xi, x, eps, nil)
-	}
-	cur := xi
-	for iter := 0; ; iter++ {
-		if err := e.Hooks.Err(); err != nil {
-			return nil, 0, err
-		}
-		if e.MaxDepth > 0 && iter >= e.MaxDepth {
-			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
-		}
-		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: RefineWeighted did not stabilise after %d iterations", iter))
-		}
-		next := RefineWeightedStep(g, cur, x)
-		maxDelta := 0.0
-		for _, n := range x {
-			if d := math.Abs(next.W[n] - cur.W[n]); d > maxDelta {
-				maxDelta = d
-			}
-		}
-		if maxDelta < eps && equivalentColors(cur.P.colors, next.P.colors) {
-			return next, iter + 1, nil
-		}
-		cur = next
-		e.Hooks.RoundDirty(StagePropagate, iter+1, len(x))
-	}
+	return e.refineWeightedWorklist(g, xi, x, eps, nil)
 }
 
 // Propagate spreads alignment information in ξ to the currently unaligned
 // non-literal nodes (§4.5):
 //
 //	Propagate(ξ) = BisimRefine*_{UN(ξ)}(Blank(ξ, UN(ξ)))
+//
+// It blanks the colors and zeroes the weights of unaligned non-literal
+// nodes, then refines on exactly those nodes so their identity — and a
+// confidence weight — is rebuilt from their outbound neighbourhoods.
 func (e *Engine) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, error) {
 	un := UnalignedNonLiterals(c, xi.P)
 	blanked := BlankOutWeighted(xi, un)
@@ -300,28 +172,12 @@ func (e *Engine) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighte
 // changes and reverts stays listed) and is always a subset of the
 // propagation's recolor set, so incremental consumers (the overlap
 // matcher's per-round index) can invalidate exactly the dependents of the
-// listed nodes. With FullRecolor there are no worklist change lists; the
-// change list is then the exact input/output difference over the recolor
-// set.
+// listed nodes.
 func (e *Engine) PropagateChanged(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error) {
 	un := UnalignedNonLiterals(c, xi.P)
 	blanked := BlankOutWeighted(xi, un)
 	if eps <= 0 {
 		eps = DefaultEpsilon
-	}
-	if e.FullRecolor {
-		out, iters, err := e.RefineWeighted(c.Graph, blanked, un, eps)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		var changed []rdf.NodeID
-		for _, n := range un {
-			if out.P.colors[n] != xi.P.colors[n] || out.W[n] != xi.W[n] {
-				changed = append(changed, n)
-			}
-		}
-		slices.Sort(changed)
-		return out, iters, changed, nil
 	}
 	tracked := newChangeTracker(len(xi.W))
 	for _, n := range un {

@@ -43,8 +43,7 @@ import (
 // same colors, and new colors are numbered identically, so the round's
 // change set is equal as a set — and change application, the grouping-
 // equivalence check and the next frontier are all order-independent — so
-// the refinement is bit-identical to the in-memory engines (property-
-// tested against both the sequential and the parallel path).
+// the refinement is bit-identical to the in-memory round (property-tested).
 //
 // Memory: the run buffer is bounded (extSpillRunBytes), the merge holds
 // one record per run, and what survives the round — the distinct new
@@ -52,7 +51,7 @@ import (
 
 // extMergeThreshold is the minimum frontier size for the external-merge
 // round; smaller frontiers (the deep tail of a fixpoint) stay on the
-// in-memory paths. A variable so tests can force tiny frontiers through
+// in-memory loop. A variable so tests can force tiny frontiers through
 // the merge path.
 var extMergeThreshold = 4096
 

@@ -27,9 +27,9 @@ type ProgressEvent struct {
 	// 0 when the stage runs to a fixpoint of unknown length.
 	Total int
 	// Dirty is the number of nodes the round actually recolored — the
-	// frontier size for the worklist refinement engines, the full recolor
-	// set size for the full-recolor reference engine, and 0 for stages
-	// without a recoloring notion (overlap rounds, archive versions).
+	// worklist frontier size for the refinement fixpoints, and 0 for
+	// stages without a recoloring notion (overlap rounds, archive
+	// versions).
 	Dirty int
 }
 

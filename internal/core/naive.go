@@ -13,7 +13,7 @@ import "rdfalign/internal/rdf"
 // ablate the refinement engine in benchmarks. It is exponential-free but
 // O(|N|² · avg-deg²) and intended for small graphs only. Being
 // interner-free, it also anchors the interning tests: together with the
-// string-keyed stringInterner (stringintern.go) it gives the hash interner
+// test-only string-keyed stringInterner (stringintern_test.go) it gives the hash interner
 // two independent references — one for the equivalence relation, one for
 // the color assignment.
 func NaiveMaximalBisimulation(g *rdf.Graph) *Relation {
@@ -114,8 +114,8 @@ func NaiveKBisimulation(g *rdf.Graph, k int) *Relation {
 // compared by label alone (they are never recolored by deblanking), and
 // recursion happens only through blank nodes.
 //
-// This is the quadratic reference oracle for DeblankPartition, mirroring
-// what NaiveMaximalBisimulation is for BisimPartition.
+// This is the quadratic reference oracle for Engine.Deblank, mirroring
+// what NaiveMaximalBisimulation is for Engine.Bisim.
 func NaiveDeblankEquivalence(g *rdf.Graph) *Relation {
 	n := g.NumNodes()
 	rel := NewRelation(n)

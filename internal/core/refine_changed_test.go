@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,15 +9,20 @@ import (
 )
 
 // refineEngines is the engine matrix the incremental-maintenance tests run
-// against: the worklist, the parallel worklist and the full-recolor
-// reference must all agree.
-var refineEngines = []struct {
+// against: the default recoloring and every extended option set, whose
+// frontier also follows inbound and predicate-occurrence reads.
+var refineEngines = func() []namedEngine {
+	out := []namedEngine{{"default", &Engine{}}}
+	for _, opt := range extendedTestOptions() {
+		name := fmt.Sprintf("dir=%s/adaptive=%v/filter=%v", opt.Direction, opt.Adaptive, opt.Filter != nil)
+		out = append(out, namedEngine{name, &Engine{Opt: opt}})
+	}
+	return out
+}()
+
+type namedEngine struct {
 	name string
 	eng  *Engine
-}{
-	{"worklist", &Engine{}},
-	{"worklist-par4", &Engine{Workers: 4}},
-	{"full", &Engine{FullRecolor: true}},
 }
 
 // TestRefineChangedSoundAndExact: RefineChanged returns the same partition
@@ -82,7 +88,7 @@ func TestRefineChangedSoundAndExact(t *testing.T) {
 }
 
 // TestDeblankFrom: DeblankFrom over LabelPartition is Deblank, color for
-// color, on every engine configuration.
+// color, under every option set.
 func TestDeblankFrom(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r := rand.New(rand.NewSource(seed))

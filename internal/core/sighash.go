@@ -10,12 +10,12 @@ package core
 // comparison, never a wrong answer. Hash-based signature interning is the
 // partitioning strategy the fastest k-bisimulation implementations use
 // (Rau, Richerby & Scherp 2022); here it replaces the string-keyed map of
-// the seed implementation (kept as stringInterner for differential tests).
+// the seed implementation (kept as the test-only stringInterner in
+// stringintern_test.go for differential tests).
 //
 // The hash seed perturbs bucket placement only: colors are assigned in
 // interning order, so colorings are bit-identical across seeds. Tests vary
-// the seed to prove that (and to shuffle shard routing in the concurrent
-// interner, see shardintern.go).
+// the seed to prove that.
 
 // sigSeedDefault is the default interner hash seed (an arbitrary odd
 // constant; NewInternerSeeded accepts any value).

@@ -22,8 +22,10 @@ func newTestDiskInterner(t *testing.T, seed uint64) (*Interner, Storage) {
 // engine: deblank colorings computed with storage-backed arrays and
 // external-merge signature grouping must be bit-identical — color value for
 // color value, not merely grouping-equivalent — to the in-memory engine,
-// across worker counts, hash seeds, and spill-run sizes (tiny runs force
-// genuine multi-run k-way merges).
+// across hash seeds, spill-run sizes (tiny runs force genuine multi-run
+// k-way merges) and recoloring options. The extended options never take the
+// external-merge round, which implements only the default recoloring; with
+// the threshold at 1 a missing gate would show as a divergence.
 func TestDeblankOutOfCoreIdentity(t *testing.T) {
 	defer func(th, rb int) { extMergeThreshold = th; extSpillRunBytes = rb }(extMergeThreshold, extSpillRunBytes)
 	variants := []struct {
@@ -35,32 +37,34 @@ func TestDeblankOutOfCoreIdentity(t *testing.T) {
 		{"merge-onerun", 1, 8 << 20},     // every round external, in-memory run
 		{"alloc-only", 1 << 30, 8 << 20}, // storage-backed arrays, heap grouping
 	}
+	opts := []RefineOptions{{}, {Direction: DirBoth, Adaptive: true}}
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(r, "ooc", 3+r.Intn(5), 1+r.Intn(8), 1+r.Intn(3), 5+r.Intn(40))
-		want, wantIters, err := (&Engine{}).Deblank(g, NewInterner())
-		if err != nil {
-			t.Fatalf("trial %d: in-memory deblank: %v", trial, err)
-		}
-		for _, v := range variants {
-			extMergeThreshold = v.threshold
-			extSpillRunBytes = v.runBytes
-			for _, workers := range []int{1, 4} {
+		for _, opt := range opts {
+			eng := &Engine{Opt: opt}
+			want, wantIters, err := eng.Deblank(g, NewInterner())
+			if err != nil {
+				t.Fatalf("trial %d: in-memory deblank: %v", trial, err)
+			}
+			for _, v := range variants {
+				extMergeThreshold = v.threshold
+				extSpillRunBytes = v.runBytes
 				for _, seed := range []uint64{sigSeedDefault, 0xdecafbad} {
 					in, st := newTestDiskInterner(t, seed)
-					got, iters, err := (&Engine{Workers: workers}).Deblank(g, in)
+					got, iters, err := eng.Deblank(g, in)
 					if err != nil {
-						t.Fatalf("trial %d %s workers=%d: %v", trial, v.name, workers, err)
+						t.Fatalf("trial %d %s opt=%+v: %v", trial, v.name, opt, err)
 					}
 					if iters != wantIters {
-						t.Fatalf("trial %d %s workers=%d seed=%#x: %d iterations, in-memory took %d",
-							trial, v.name, workers, seed, iters, wantIters)
+						t.Fatalf("trial %d %s opt=%+v seed=%#x: %d iterations, in-memory took %d",
+							trial, v.name, opt, seed, iters, wantIters)
 					}
 					wc, gc := want.Colors(), got.Colors()
 					for n := range wc {
 						if wc[n] != gc[n] {
-							t.Fatalf("trial %d %s workers=%d seed=%#x: node %d colored %d, in-memory %d",
-								trial, v.name, workers, seed, n, gc[n], wc[n])
+							t.Fatalf("trial %d %s opt=%+v seed=%#x: node %d colored %d, in-memory %d",
+								trial, v.name, opt, seed, n, gc[n], wc[n])
 						}
 					}
 					if err := st.Close(); err != nil {

@@ -4,49 +4,71 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"rdfalign/internal/rdf"
 )
 
-// This file implements the incremental worklist refinement engine, the
-// default evaluation strategy for Engine.Refine and Engine.RefineWeighted.
+// DefaultMaxIterations caps refinement fixpoint loops. Refinement is
+// guaranteed to terminate after at most |N_G| iterations (each non-final
+// iteration strictly increases the class count, which is bounded by the node
+// count), so the cap exists only to convert would-be infinite loops from
+// implementation bugs into loud failures.
+const DefaultMaxIterations = 1 << 20
+
+// This file implements the incremental worklist refinement engine, the one
+// evaluation strategy behind every Engine fixpoint.
 //
-// The full-recolor reference engine recolors every node of the recolor set x
-// and clones the whole partition on every iteration, even though after the
-// first few rounds only a shrinking frontier of nodes can still change color
-// — the observation behind efficient bisimulation partition refinement
-// (Paige–Tarjan-style splitting; cf. the distributed signature refinement of
-// Schätzle et al. the paper cites in §5.3). The worklist engine exploits the
-// locality of recolor_λ: the color assigned to n depends only on λ(n) and on
-// λ(p), λ(o) for the outbound half-edges (p, o) ∈ out(n), so after a round
-// changes the colors of a set C, only the nodes of x with an out-edge into C
-// — rdf.Graph.Dependents(C) ∩ x — can recolor differently next round.
+// A full round of BisimRefine_X recolors every node of the recolor set x,
+// even though after the first few rounds only a shrinking frontier of nodes
+// can still change color — the observation behind efficient bisimulation
+// partition refinement (Paige–Tarjan-style splitting; cf. the distributed
+// signature refinement of Schätzle et al. the paper cites in §5.3). The
+// worklist exploits the locality of recoloring: the color assigned to n
+// depends only on λ(n) and on the colors of the half-edges the recoloring
+// reads, so after a round changes the colors of a set C, only the nodes of
+// x that read a member of C can recolor differently next round. For the
+// default outbound recolor_λ those are rdf.Graph.Dependents(C) ∩ x; the
+// extended recoloring (extend.go) adds the readers of its inbound and
+// predicate-occurrence lists (see frontier.next).
 //
 // Two properties make the frontier exact rather than merely sound:
 //
-//   - Stable-tree collapse (Interner.Composite): when a node's outbound pair
-//     set is unchanged, recoloring returns its current color unchanged, even
-//     though the node's own color changed last round. A node therefore never
-//     re-dirties itself; only neighbourhood changes do.
+//   - Stable-tree collapse (Interner.Composite and CompositeLists): when a
+//     node's pair lists are unchanged, recoloring returns its current color
+//     unchanged, even though the node's own color changed last round. A
+//     node therefore never re-dirties itself; only neighbourhood changes
+//     do.
 //   - First-round seeding: the first round recolors all of x, establishing
 //     the invariant that every x node's color is a composite whose stored
-//     pair set equals its current outbound pair set.
+//     pair lists equal its current pair lists.
 //
-// Consequently a worklist round computes exactly the partition the full
-// RefineStep would, and the engines agree color for color: dirty nodes are
-// interned in ascending node order (the frontier is kept sorted), matching
-// the full engine's iteration order over an ascending x.
+// Consequently a worklist round computes exactly the partition a full round
+// would, color for color: dirty nodes are interned in ascending node order
+// (the frontier is kept sorted), matching a full round's iteration order
+// over an ascending x. The tests pin this against a full-recolor oracle.
 //
 // Stabilisation cannot be detected by an empty frontier alone: the
-// documented grouping-equivalence semantics (see Refine) allow a recolored
-// node to keep changing color while the induced grouping is stable — on a
-// cycle of blank nodes every round renames the cycle's class to a fresh
-// color forever. The engine therefore buffers each round's changes and asks
-// whether applying them would merely rename classes (equivalentRenaming);
-// if so the round is discarded and the pre-round partition returned, exactly
-// as the full engine's equivalentColors scan decides — but in O(|changes|)
-// instead of O(|N|) per round.
+// documented grouping-equivalence semantics (see Engine.Refine) allow a
+// recolored node to keep changing color while the induced grouping is
+// stable — on a cycle of blank nodes every round renames the cycle's class
+// to a fresh color forever. The engine therefore buffers each round's
+// changes and asks whether applying them would merely rename classes
+// (renameCheck); if so the round is discarded and the pre-round partition
+// returned — in O(|changes|) per round instead of an O(|N|) scan.
+
+// recolor computes recolor_λ(n) = (λ(n), {(λ(p), λ(o)) | (p,o) ∈ out(n)})
+// (§3.2 equation 1) using the scratch pair buffer. The composite is
+// hash-interned (sighash.go): beyond gathering the pairs, a recolor costs
+// one signature hash and an open-addressed probe, with no allocation
+// unless the color is genuinely new.
+func recolor(g *rdf.Graph, p *Partition, n rdf.NodeID, scratch []ColorPair) (Color, []ColorPair) {
+	out := g.Out(n)
+	scratch = scratch[:0]
+	for _, e := range out {
+		scratch = append(scratch, ColorPair{P: p.colors[e.P], O: p.colors[e.O]})
+	}
+	return p.in.Composite(p.colors[n], scratch), scratch
+}
 
 // change records one recolored node within a round, before application.
 type change struct {
@@ -198,32 +220,87 @@ func (rc *renameCheck) equivalent(changes []change, cc *colorCounts) bool {
 	return true
 }
 
-// dedupFrontier copies x into a frontier, dropping duplicate node IDs while
-// preserving first-occurrence order (the full engine's interning order for
-// the first round). mark is stamped with stamp.
-func dedupFrontier(x []rdf.NodeID, mark []int32, stamp int32) []rdf.NodeID {
+// frontier tracks the recolor set x and computes each round's dirty nodes.
+// mark is stamped per round to deduplicate; in and predOcc record whether
+// the recoloring also reads inbound or predicate-occurrence lists, whose
+// readers the next frontier must cover.
+type frontier struct {
+	inX         []bool
+	mark        []int32
+	stamp       int32
+	in, predOcc bool
+}
+
+func newFrontier(x []rdf.NodeID, nodes int, opt RefineOptions) *frontier {
+	f := &frontier{
+		inX:     make([]bool, nodes),
+		mark:    make([]int32, nodes),
+		in:      opt.Direction != DirOut || opt.Adaptive,
+		predOcc: opt.Adaptive,
+	}
+	for _, n := range x {
+		f.inX[n] = true
+	}
+	return f
+}
+
+// first returns the first round's frontier: x without duplicate node IDs,
+// in first-occurrence order (a full round's interning order).
+func (f *frontier) first(x []rdf.NodeID) []rdf.NodeID {
+	f.stamp++
 	out := make([]rdf.NodeID, 0, len(x))
 	for _, n := range x {
-		if mark[n] == stamp {
-			continue
-		}
-		mark[n] = stamp
-		out = append(out, n)
+		out = f.add(out, n)
 	}
 	return out
 }
 
-// nextFrontier computes the next round's dirty set: every node of x with an
-// outbound half-edge into a node whose color (or, for the weighted engine,
-// weight) just changed. The result is sorted ascending so interning stays
-// deterministic.
-func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, inX []bool, mark []int32, stamp int32, out []rdf.NodeID) []rdf.NodeID {
+// add appends s to out when it is in x and not yet in this round's frontier.
+func (f *frontier) add(out []rdf.NodeID, s rdf.NodeID) []rdf.NodeID {
+	if f.inX[s] && f.mark[s] != f.stamp {
+		f.mark[s] = f.stamp
+		out = append(out, s)
+	}
+	return out
+}
+
+// next computes the next round's dirty set — every node of x whose
+// recoloring reads a node whose color (or, for the weighted engine, weight)
+// just changed — sorted ascending so interning stays deterministic. A
+// changed node m is read by:
+//
+//   - Dependents(m): the subjects of out-edges with predicate or object m
+//     (the outbound list);
+//   - with in: the objects of m's out-edges and of the triples with
+//     predicate m (the inbound list of node o holds (λ(p), λ(s)) for every
+//     triple (s, p, o));
+//   - with predOcc: the predicates of m's out- and in-edges (the
+//     predicate-occurrence list of node p holds (λ(s), λ(o)) for every
+//     triple (s, p, o)).
+//
+// Edge filters are static, so a superset of the readers is covered; a
+// dirty node whose lists did not change recolors to its current color.
+func (f *frontier) next(g *rdf.Graph, changed []rdf.NodeID, out []rdf.NodeID) []rdf.NodeID {
+	f.stamp++
 	out = out[:0]
 	for _, m := range changed {
 		for _, s := range g.Dependents(m) {
-			if inX[s] && mark[s] != stamp {
-				mark[s] = stamp
-				out = append(out, s)
+			out = f.add(out, s)
+		}
+		if f.in {
+			for _, e := range g.Out(m) {
+				out = f.add(out, e.O)
+			}
+			for _, e := range g.PredOcc(m) {
+				out = f.add(out, e.O)
+			}
+		}
+		if f.predOcc {
+			for _, e := range g.Out(m) {
+				out = f.add(out, e.P)
+			}
+			for _, e := range g.In(m) {
+				out = f.add(out, e.P)
 			}
 		}
 	}
@@ -231,12 +308,11 @@ func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, inX []bool, mark []int32, 
 	return out
 }
 
-// refineWorklist is the incremental fixpoint behind Engine.Refine for the
-// default outbound recoloring. When the engine has Workers > 1 and the
-// frontier is large enough, each round is chunked across a worker pool that
-// gathers and interns concurrently (see parallelGatherer); the sharded
-// interner's rank reconciliation keeps color assignment in ascending node
-// order, so every configuration produces the identical coloring.
+// refineWorklist is the incremental fixpoint behind Engine.Refine. Dirty
+// nodes recolor through recolor, or through recolorOpts when the engine
+// carries extended options. With spillable storage and the default
+// recoloring, large rounds group their signatures by external merge sort
+// (extsort.go) instead; the result is bit-identical.
 //
 // tracked, when non-nil, collects every node an applied round recolors (the
 // change list Engine.RefineChanged hands to incremental consumers). The
@@ -245,19 +321,15 @@ func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, inX []bool, mark []int32, 
 func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, tracked *changeTracker) (*Partition, int, error) {
 	cur := p.Clone()
 	colors := cur.colors
-	inX := make([]bool, len(colors))
-	for _, n := range x {
-		inX[n] = true
-	}
-	mark := make([]int32, len(colors))
-	stamp := int32(1)
-	dirty := dedupFrontier(x, mark, stamp)
+	front := newFrontier(x, len(colors), e.Opt)
+	dirty := front.first(x)
 	counts := newColorCounts(colors)
 	var rc renameCheck
 	changes := make([]change, 0, len(dirty))
 	changedNodes := make([]rdf.NodeID, 0, len(dirty))
 	var scratch []ColorPair
-	var pg *parallelGatherer
+	var optScratch [3][]ColorPair
+	opts := e.useOpts()
 	spillDir, spill := cur.in.spillDir()
 	for iter := 0; ; iter++ {
 		if err := e.Hooks.Err(); err != nil {
@@ -267,29 +339,27 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
 		}
 		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: Refine (worklist) did not stabilise after %d iterations", iter))
+			panic(fmt.Sprintf("core: Refine did not stabilise after %d iterations", iter))
 		}
 		changes = changes[:0]
-		if spill && len(dirty) >= extMergeThreshold {
+		if spill && !opts && len(dirty) >= extMergeThreshold {
 			// Out-of-core storage: group this round's unseen signatures by
-			// external merge sort in the spill directory (extsort.go)
-			// instead of buffering them in the heap. Bit-identical to the
-			// in-memory paths below; small frontiers (the deep tail of a
-			// fixpoint) fall through to them.
+			// external merge sort in the spill directory instead of
+			// buffering them in the heap. Small frontiers (the deep tail of
+			// a fixpoint) stay on the in-memory loop below.
 			var err error
 			changes, err = extMergeRound(g, cur, dirty, changes, spillDir)
 			if err != nil {
 				return nil, 0, err
 			}
-		} else if e.Workers > 1 && len(dirty) >= parallelThreshold {
-			if pg == nil {
-				pg = newParallelGatherer(e.Workers)
-			}
-			changes = pg.round(g, cur, dirty, changes)
 		} else {
 			for _, n := range dirty {
 				var c Color
-				c, scratch = recolor(g, cur, n, scratch)
+				if opts {
+					c = recolorOpts(g, cur, n, e.Opt, &optScratch)
+				} else {
+					c, scratch = recolor(g, cur, n, scratch)
+				}
 				if c != colors[n] {
 					changes = append(changes, change{n: n, old: colors[n], new: c})
 				}
@@ -298,8 +368,7 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 		if rc.equivalent(changes, counts) {
 			// Quiescent: the round at most renames classes (a node joining
 			// an equivalent class, or a blank cycle re-deriving itself).
-			// Discard it and return the pre-round partition, as the full
-			// engine's grouping-equivalence scan does.
+			// Discard it and return the pre-round partition.
 			return cur, iter, nil
 		}
 		changedNodes = changedNodes[:0]
@@ -314,129 +383,8 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 			}
 		}
 		e.Hooks.RoundDirty(StageRefine, iter+1, len(dirty))
-		stamp++
-		dirty = nextFrontier(g, changedNodes, inX, mark, stamp, dirty)
+		dirty = front.next(g, changedNodes, dirty)
 	}
-}
-
-// parallelGatherer chunks a worklist round's gather phase — collecting and
-// canonicalising every dirty node's outbound color pairs — across a worker
-// pool, and has each worker intern its signatures directly through the
-// sharded concurrent interner (shardintern.go) instead of shipping pair
-// lists to a serial intern phase. It is the shared-memory analogue of the
-// distributed bisimulation the paper points to for scaling (§5.3, citing
-// the MapReduce approach of Schätzle et al. [16]). After the workers join,
-// the rank-reconciliation pass commits new signatures in sequential
-// allocation order, so every worker count yields the identical coloring.
-// Arenas, the result slice and the sharded interner persist across rounds
-// to amortise allocation.
-type parallelGatherer struct {
-	workers int
-	arenas  [][]ColorPair
-	refs    []sigRef
-	weights []float64
-	si      *shardedInterner
-}
-
-func newParallelGatherer(workers int) *parallelGatherer {
-	return &parallelGatherer{workers: workers, arenas: make([][]ColorPair, workers)}
-}
-
-// round runs one gather+intern round over the dirty frontier, appending the
-// observed changes to changes in frontier order. The result is identical
-// color-for-color to the sequential path (see shardintern.go for why).
-func (pg *parallelGatherer) round(g *rdf.Graph, cur *Partition, dirty []rdf.NodeID, changes []change) []change {
-	si := pg.gather(g, cur, nil, dirty)
-	for i, n := range dirty {
-		c := si.resolve(pg.refs[i])
-		if c != cur.colors[n] {
-			changes = append(changes, change{n: n, old: cur.colors[n], new: c})
-		}
-	}
-	return changes
-}
-
-// roundWeighted is round for the weighted engine: the workers additionally
-// recompute each dirty node's weight (reweight is a pure function of the
-// pre-round weights, so it parallelises with the same determinism
-// guarantee), and the serial resolve pass collects weight changes and the
-// round's maximum weight motion.
-func (pg *parallelGatherer) roundWeighted(g *rdf.Graph, cur *Weighted, dirty []rdf.NodeID, changes []change, wchanges []wchange) ([]change, []wchange, float64) {
-	si := pg.gather(g, cur.P, cur.W, dirty)
-	maxDelta := 0.0
-	for i, n := range dirty {
-		c := si.resolve(pg.refs[i])
-		if c != cur.P.colors[n] {
-			changes = append(changes, change{n: n, old: cur.P.colors[n], new: c})
-		}
-		if d := math.Abs(pg.weights[i] - cur.W[n]); d > 0 {
-			wchanges = append(wchanges, wchange{n: n, w: pg.weights[i]})
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-	}
-	return changes, wchanges, maxDelta
-}
-
-// gather runs the concurrent gather+intern phase over the dirty frontier
-// and reconciles the sharded interner; afterwards pg.refs[i] resolves the
-// i-th dirty node's color and, when w is non-nil, pg.weights[i] holds its
-// recomputed weight.
-func (pg *parallelGatherer) gather(g *rdf.Graph, cur *Partition, w []float64, dirty []rdf.NodeID) *shardedInterner {
-	if pg.si == nil || pg.si.parent != cur.in {
-		pg.si = newShardedInterner(cur.in)
-	} else {
-		pg.si.reset()
-	}
-	si := pg.si
-	if cap(pg.refs) < len(dirty) {
-		pg.refs = make([]sigRef, len(dirty))
-	}
-	refs := pg.refs[:len(dirty)]
-	var weights []float64
-	if w != nil {
-		if cap(pg.weights) < len(dirty) {
-			pg.weights = make([]float64, len(dirty))
-		}
-		weights = pg.weights[:len(dirty)]
-	}
-	chunk := (len(dirty) + pg.workers - 1) / pg.workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < pg.workers; wk++ {
-		lo := wk * chunk
-		hi := lo + chunk
-		if hi > len(dirty) {
-			hi = len(dirty)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			arena := pg.arenas[wk][:0]
-			for i := lo; i < hi; i++ {
-				n := dirty[i]
-				start := len(arena)
-				for _, e := range g.Out(n) {
-					arena = append(arena, ColorPair{P: cur.colors[e.P], O: cur.colors[e.O]})
-				}
-				run := arena[start:]
-				sortPairs(run)
-				run = dedupPairs(run)
-				arena = arena[:start+len(run)]
-				refs[i] = si.intern(int32(i), cur.colors[n], arena[start:len(arena):len(arena)])
-				if weights != nil {
-					weights[i] = reweight(g, w, n)
-				}
-			}
-			pg.arenas[wk] = arena
-		}(wk, lo, hi)
-	}
-	wg.Wait()
-	si.reconcile()
-	return si
 }
 
 // wchange records one reweighted node within a weighted round.
@@ -479,32 +427,23 @@ func (t *changeTracker) sorted() []rdf.NodeID {
 // applied round recolors or reweights (including the final, applied round —
 // see the stop handling below). A node re-enters the frontier when a node its
 // outbound neighbourhood mentions changed color or weight at all (δ > 0) —
-// not merely by ≥ ε — so skipped nodes are exactly the ones the full
-// RefineWeightedStep would recompute unchanged, and the engines agree
-// bit-for-bit on both colors and weights. ε governs only termination, as in
-// the full engine: the loop stops once a round moves no weight by ε or more
-// and at most renames color classes. With Workers > 1, large frontiers run
-// the parallel gather (roundWeighted: concurrent interning plus concurrent
-// reweighting), which preserves the bit-for-bit agreement across worker
-// counts.
+// not merely by ≥ ε — so skipped nodes are exactly the ones a full weighted
+// round would recompute unchanged, and the result agrees bit-for-bit on both
+// colors and weights with synchronous full rounds. ε governs only
+// termination: the loop stops once a round moves no weight by ε or more
+// and at most renames color classes.
 func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64, tracked *changeTracker) (*Weighted, int, error) {
 	cur := xi.Clone()
 	colors := cur.P.colors
 	w := cur.W
-	inX := make([]bool, len(colors))
-	for _, n := range x {
-		inX[n] = true
-	}
-	mark := make([]int32, len(colors))
-	stamp := int32(1)
-	dirty := dedupFrontier(x, mark, stamp)
+	front := newFrontier(x, len(colors), RefineOptions{})
+	dirty := front.first(x)
 	counts := newColorCounts(colors)
 	var rc renameCheck
 	changes := make([]change, 0, len(dirty))
 	wchanges := make([]wchange, 0, len(dirty))
 	changedNodes := make([]rdf.NodeID, 0, len(dirty))
 	var scratch []ColorPair
-	var pg *parallelGatherer
 	for iter := 0; ; iter++ {
 		if err := e.Hooks.Err(); err != nil {
 			return nil, 0, err
@@ -513,28 +452,21 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
 		}
 		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: RefineWeighted (worklist) did not stabilise after %d iterations", iter))
+			panic(fmt.Sprintf("core: RefineWeighted did not stabilise after %d iterations", iter))
 		}
 		changes, wchanges = changes[:0], wchanges[:0]
 		maxDelta := 0.0
-		if e.Workers > 1 && len(dirty) >= parallelThreshold {
-			if pg == nil {
-				pg = newParallelGatherer(e.Workers)
+		for _, n := range dirty {
+			var c Color
+			c, scratch = recolor(g, cur.P, n, scratch)
+			if c != colors[n] {
+				changes = append(changes, change{n: n, old: colors[n], new: c})
 			}
-			changes, wchanges, maxDelta = pg.roundWeighted(g, cur, dirty, changes, wchanges)
-		} else {
-			for _, n := range dirty {
-				var c Color
-				c, scratch = recolor(g, cur.P, n, scratch)
-				if c != colors[n] {
-					changes = append(changes, change{n: n, old: colors[n], new: c})
-				}
-				nw := reweight(g, w, n)
-				if d := math.Abs(nw - w[n]); d > 0 {
-					wchanges = append(wchanges, wchange{n: n, w: nw})
-					if d > maxDelta {
-						maxDelta = d
-					}
+			nw := reweight(g, w, n)
+			if d := math.Abs(nw - w[n]); d > 0 {
+				wchanges = append(wchanges, wchange{n: n, w: nw})
+				if d > maxDelta {
+					maxDelta = d
 				}
 			}
 		}
@@ -566,7 +498,6 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 		for _, wc := range wchanges {
 			changedNodes = append(changedNodes, wc.n)
 		}
-		stamp++
-		dirty = nextFrontier(g, changedNodes, inX, mark, stamp, dirty)
+		dirty = front.next(g, changedNodes, dirty)
 	}
 }

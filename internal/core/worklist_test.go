@@ -32,40 +32,25 @@ func samePartition(a, b *Partition) bool {
 	return true
 }
 
-// TestWorklistEnginesIdentical asserts the four evaluation strategies agree
-// on random graphs: the worklist engine (the default), the full-recolor
-// reference, the parallel worklist, and the parallel full-recolor reference
-// produce the identical coloring in the same number of iterations, and
-// their common partition equals the naive greatest-fixpoint bisimulation.
+// TestWorklistEnginesIdentical asserts the worklist engine agrees with the
+// full-recolor oracle on random graphs: the identical coloring in the same
+// number of iterations, whose partition equals the naive greatest-fixpoint
+// bisimulation.
 func TestWorklistEnginesIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, "wl", 3+r.Intn(5), r.Intn(6), 1+r.Intn(3), 5+r.Intn(25))
 		all := allNodes(g)
-		run := func(e *Engine) (*Partition, int) {
-			in := NewInterner()
-			p, it, err := e.Refine(g, LabelPartition(g, in), all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, it
+		wl, itWL, err := (&Engine{}).Refine(g, LabelPartition(g, NewInterner()), all)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wl, itWL := run(&Engine{})
-		full, itFull := run(&Engine{FullRecolor: true})
-		// Force the parallel paths despite the small input by spawning
-		// workers over the tiny frontier via a large worker count; the
-		// parallelThreshold guard is part of Refine, so exercise the
-		// gatherer directly through a threshold-sized graph instead when
-		// available. Here the worker pool still runs sequentially for
-		// frontiers below parallelThreshold, which is itself a path worth
-		// pinning: Workers > 1 must never change the result.
-		par, itPar := run(&Engine{Workers: 4})
-		parFull, itParFull := run(&Engine{Workers: 4, FullRecolor: true})
-		if itWL != itFull || itWL != itPar || itWL != itParFull {
-			t.Logf("iteration counts diverge: wl=%d full=%d par=%d parFull=%d", itWL, itFull, itPar, itParFull)
+		full, itFull := oracle{}.Refine(g, LabelPartition(g, NewInterner()), all)
+		if itWL != itFull {
+			t.Logf("iteration counts diverge: wl=%d full=%d", itWL, itFull)
 			return false
 		}
-		if !samePartition(wl, full) || !samePartition(wl, par) || !samePartition(wl, parFull) {
+		if !samePartition(wl, full) {
 			t.Log("colorings diverge")
 			return false
 		}
@@ -87,10 +72,7 @@ func TestWorklistDeblankIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, itFull, err := (&Engine{FullRecolor: true}).Hybrid(c, NewInterner())
-		if err != nil {
-			t.Fatal(err)
-		}
+		full, itFull := oracle{}.Hybrid(c, NewInterner())
 		return itWL == itFull && samePartition(wl, full)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -98,53 +80,146 @@ func TestWorklistDeblankIdentical(t *testing.T) {
 	}
 }
 
-// TestWorklistParallelLargeFrontier drives a frontier past parallelThreshold
-// so the chunked parallel gather actually runs, and checks it against the
-// sequential worklist and the full-recolor reference.
+// TestWorklistParallelLargeFrontier checks the worklist against the
+// full-recolor oracle on a frontier of tens of thousands of nodes. (The
+// name predates the removal of the parallel engine.)
 func TestWorklistParallelLargeFrontier(t *testing.T) {
 	g := benchWideGraph()
 	all := allNodes(g)
-	if len(all) < parallelThreshold {
-		t.Fatalf("test graph too small: %d nodes", len(all))
-	}
-	seq, itSeq, err := (&Engine{}).Refine(g, LabelPartition(g, NewInterner()), all)
+	wl, itWL, err := (&Engine{}).Refine(g, LabelPartition(g, NewInterner()), all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, itPar, err := (&Engine{Workers: 4}).Refine(g, LabelPartition(g, NewInterner()), all)
+	full, itFull := oracle{}.Refine(g, LabelPartition(g, NewInterner()), all)
+	if itWL != itFull {
+		t.Errorf("iteration counts: worklist=%d oracle=%d", itWL, itFull)
+	}
+	if !samePartition(wl, full) {
+		t.Error("worklist diverged from the oracle on a large frontier")
+	}
+}
+
+// extendedTestOptions are the extended recoloring variants the oracle
+// property tests sweep, each with and without Adaptive: a key filter on
+// the outbound list, pure context, and contents plus context.
+func extendedTestOptions() []RefineOptions {
+	var out []RefineOptions
+	for _, adaptive := range []bool{false, true} {
+		out = append(out,
+			RefineOptions{Direction: DirOut, Filter: PredicateKeyFilter("u0", "u2"), Adaptive: adaptive},
+			RefineOptions{Direction: DirIn, Adaptive: adaptive},
+			RefineOptions{Direction: DirBoth, Adaptive: adaptive},
+		)
+	}
+	return out
+}
+
+// TestWorklistExtendedOptionsOracle is the property test of the worklist's
+// extended frontier: under every extended option set, depth bound and
+// interner seed, Bisim, Deblank and Hybrid agree with the full-recolor
+// oracle color for color and round for round. The oracle recolors every
+// node of x each round, so any reader of a changed inbound or
+// predicate-occurrence list the frontier missed shows up as a divergence.
+func TestWorklistExtendedOptionsOracle(t *testing.T) {
+	seeds := internTestSeeds[:3]
+	f := func(rngSeed int64) bool {
+		r := rand.New(rand.NewSource(rngSeed))
+		g := randomGraph(r, "ext", 3+r.Intn(5), 1+r.Intn(6), 1+r.Intn(3), 5+r.Intn(25))
+		c := randomCombined(r)
+		for _, opt := range extendedTestOptions() {
+			for _, k := range []int{0, 1, 2, 3} {
+				eng := &Engine{Opt: opt, MaxDepth: k}
+				ref := oracle{Opt: opt, MaxDepth: k}
+				for _, seed := range seeds {
+					check := func(what string, p *Partition, it int, err error, want *Partition, wantIt int) bool {
+						if err != nil {
+							t.Fatal(err)
+						}
+						if it != wantIt || !samePartition(p, want) {
+							t.Logf("%s opt=%+v k=%d seed=%#x: %d rounds vs oracle %d, identical=%v",
+								what, opt, k, seed, it, wantIt, samePartition(p, want))
+							return false
+						}
+						return true
+					}
+					p, it, err := eng.Bisim(g, NewInternerSeeded(seed))
+					want, wantIt := ref.Bisim(g, NewInternerSeeded(seed))
+					if !check("bisim", p, it, err, want, wantIt) {
+						return false
+					}
+					p, it, err = eng.Deblank(c.Graph, NewInternerSeeded(seed))
+					want, wantIt = ref.Deblank(c.Graph, NewInternerSeeded(seed))
+					if !check("deblank", p, it, err, want, wantIt) {
+						return false
+					}
+					p, it, err = eng.Hybrid(c, NewInternerSeeded(seed))
+					want, wantIt = ref.Hybrid(c, NewInternerSeeded(seed))
+					if !check("hybrid", p, it, err, want, wantIt) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWorklistSinkPredicateObject pins the frontier term random graphs
+// rarely reach: a sink predicate characterised by its occurrences must be
+// re-dirtied when the object of one of its triples changes while the
+// subject does not. The key filter hides the p1/p2 edges from s, so s
+// aligns across the versions and stays out of the hybrid recolor set. The
+// blank chains below a1 (three links) and c1 (four links) end in different
+// literals, so no chain blank aligns, and the chains tell a1 from c1 only in
+// round two; p1 and p2 must split one round later.
+func TestWorklistSinkPredicateObject(t *testing.T) {
+	version := func(name, pred, leaf string, links int) *rdf.Graph {
+		b := rdf.NewBuilder(name)
+		key := b.URI("u0")
+		head := b.FreshBlank()
+		b.TripleURI(b.URI("s"), pred, head)
+		cur := head
+		for i := 1; i < links; i++ {
+			next := b.FreshBlank()
+			b.Triple(cur, key, next)
+			cur = next
+		}
+		b.Triple(cur, key, b.Literal(leaf))
+		return mustGraph(t, b)
+	}
+	c := rdf.Union(version("v1", "p1", "leaf1", 3), version("v2", "p2", "leaf2", 4))
+	opt := RefineOptions{Filter: PredicateKeyFilter("u0"), Adaptive: true}
+	wl, itWL, err := (&Engine{Opt: opt}).Hybrid(c, NewInterner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, itFull, err := (&Engine{FullRecolor: true}).Refine(g, LabelPartition(g, NewInterner()), all)
-	if err != nil {
-		t.Fatal(err)
+	full, itFull := oracle{Opt: opt}.Hybrid(c, NewInterner())
+	if itWL != itFull || !samePartition(wl, full) {
+		t.Errorf("worklist: %d rounds, oracle %d, identical=%v", itWL, itFull, samePartition(wl, full))
 	}
-	if itSeq != itPar || itSeq != itFull {
-		t.Errorf("iteration counts: seq=%d par=%d full=%d", itSeq, itPar, itFull)
-	}
-	if !samePartition(seq, par) || !samePartition(seq, full) {
-		t.Error("parallel worklist diverged on a large frontier")
+	p1 := c.FromSource(mustURI(t, c.SourceGraph(), "p1"))
+	p2 := c.FromTarget(mustURI(t, c.TargetGraph(), "p2"))
+	if wl.SameClass(p1, p2) {
+		t.Error("p1 and p2 occur with different objects and must not align")
 	}
 }
 
 // TestWorklistWeightedIdentical: the weighted worklist agrees bit-for-bit
-// (colors and weights) with the full-recolor weighted engine on random
+// (colors and weights) with the full-recolor weighted oracle on random
 // propagation workloads, per the exact dirty criterion (any weight motion
 // re-dirties dependents, ε only governs termination).
 func TestWorklistWeightedIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
-		run := func(e *Engine) (*Weighted, int) {
-			in := NewInterner()
-			xi, it, err := e.Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return xi, it
+		wl, itWL, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wl, itWL := run(&Engine{})
-		full, itFull := run(&Engine{FullRecolor: true})
+		full, itFull := oracle{}.Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
 		if itWL != itFull {
 			t.Logf("weighted iteration counts diverge: wl=%d full=%d", itWL, itFull)
 			return false
@@ -170,7 +245,7 @@ func TestWorklistWeightedIdentical(t *testing.T) {
 // the case an empty-frontier criterion can never detect: a symmetric cycle
 // of blank nodes re-derives a fresh color for its class every round, so the
 // frontier never empties; the engine must recognise the pure renaming and
-// stop exactly where the full engine's equivalentColors scan does.
+// stop exactly where the oracle's equivalentColors scan does.
 func TestWorklistQuiescentCycle(t *testing.T) {
 	b := rdf.NewBuilder("cycle")
 	p := b.URI("p")
@@ -187,15 +262,12 @@ func TestWorklistQuiescentCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, itFull, err := (&Engine{FullRecolor: true}).Deblank(g, NewInterner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, itFull := oracle{}.Deblank(g, NewInterner())
 	if itWL != itFull {
 		t.Errorf("iteration counts: worklist=%d full=%d", itWL, itFull)
 	}
 	if !samePartition(wl, full) {
-		t.Error("worklist diverged from full engine on the blank cycle")
+		t.Error("worklist diverged from the oracle on the blank cycle")
 	}
 	// All three cycle blanks must share one class (mutually bisimilar).
 	if wl.Color(x) != wl.Color(y) || wl.Color(y) != wl.Color(z) {

@@ -45,8 +45,8 @@ func (e *Env) Fig16() *Fig16Result {
 
 		start = time.Now()
 		in = core.NewInterner()
-		deblank, _ := core.DeblankPartition(c.Graph, in)
-		hybrid, _ := core.HybridFromDeblank(c, deblank)
+		deblank, _, _ := (&core.Engine{}).Deblank(c.Graph, in)
+		hybrid, _, _ := (&core.Engine{}).HybridFromDeblank(c, deblank)
 		row.Hybrid = time.Since(start)
 
 		start = time.Now()

@@ -38,11 +38,11 @@ type OverlapOptions struct {
 	// unaligned sets, independent of how deep each propagation ran. 0 runs
 	// the exact unbounded propagation.
 	MaxDepth int
-	// Workers > 1 parallelises the matching phases (candidate generation
-	// and σ-verification fan out across source nodes, see
-	// OverlapMatchWorkers) and the propagation recoloring
-	// (core.Engine.Workers); <= 1 runs sequentially. Every worker count
-	// produces bit-identical colorings, weights and pair sets.
+	// Workers > 1 parallelises the matching phases: candidate generation
+	// and σ-verification fan out across source nodes (see
+	// OverlapMatchWorkers). Propagation always runs on the sequential
+	// worklist engine. <= 1 runs sequentially. Every worker count produces
+	// bit-identical colorings, weights and pair sets.
 	Workers int
 
 	// State, when non-nil, carries the non-literal matcher — the inverted
@@ -157,8 +157,8 @@ func (r *OverlapResult) Alignment(c *rdf.Combined) *core.Alignment {
 // survive across rounds and are repaired from the nodes Enrich and
 // Propagate actually moved (see nlMatcher), instead of being rebuilt from
 // scratch while Unaligned only shrinks. With opt.Workers > 1 the matching
-// scans and the propagation recoloring additionally fan out across
-// goroutines; every configuration yields bit-identical results.
+// scans additionally fan out across goroutines; every configuration yields
+// bit-identical results.
 func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (result *OverlapResult, err error) {
 	if opt.Theta == 0 {
 		opt.Theta = DefaultTheta
@@ -198,7 +198,7 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 	res.LiteralPairs = len(h.Edges)
 
 	// Lines 5–12.
-	eng := &core.Engine{Hooks: opt.Hooks, Workers: opt.Workers, MaxDepth: opt.MaxDepth}
+	eng := &core.Engine{Hooks: opt.Hooks, MaxDepth: opt.MaxDepth}
 	matcher.scratchRounds = opt.scratchIndex
 	var changed []rdf.NodeID
 	for {

@@ -92,7 +92,7 @@ func BenchmarkOverlapAlignCascade(b *testing.B) {
 				b.StopTimer()
 				c := rdf.Union(g1, g2)
 				in := core.NewInterner()
-				hp, _ := core.HybridPartition(c, in)
+				hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 				b.StartTimer()
 				res, err := OverlapAlign(c, hp, OverlapOptions{Theta: 0.65, scratchIndex: mode.scratch})
 				if err != nil {

@@ -84,7 +84,9 @@ func TestLowMemoryDiskAlignment(t *testing.T) {
 // grouping end to end through the public API: the EFO corpus at full scale
 // has well over the spill threshold of blank nodes in the first deblank
 // round, so disk mode takes the sequential-scan + merge path rather than
-// the in-heap grouping, and must still be byte-identical.
+// the in-heap grouping, and must still be byte-identical. With the context
+// and adaptive extensions the same rounds must stay off that path, which
+// implements only the default recoloring; their output must match too.
 func TestLowMemoryDiskAlignmentBlanks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale EFO corpus in -short mode")
@@ -101,15 +103,17 @@ func TestLowMemoryDiskAlignmentBlanks(t *testing.T) {
 		t.Fatalf("corpus too small to exercise the spill path: %d blanks", n)
 	}
 
-	want := alignPair(t, g1, g2)
-
 	prev := debug.SetMemoryLimit(256 << 20)
 	defer debug.SetMemoryLimit(prev)
 
-	st := OutOfCore(t.TempDir())
-	defer st.Close()
-	got := alignPair(t, g1, g2, WithStorage(st))
-	if !bytes.Equal(got, want) {
-		t.Errorf("disk-mode alignment differs from in-memory: got %d bytes, want %d bytes", len(got), len(want))
+	for _, opts := range [][]Option{nil, {WithContextual(), WithAdaptive()}} {
+		want := alignPair(t, g1, g2, opts...)
+		st := OutOfCore(t.TempDir())
+		got := alignPair(t, g1, g2, append(opts, WithStorage(st))...)
+		st.Close()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d extra options: disk-mode alignment differs from in-memory: got %d bytes, want %d bytes",
+				len(opts), len(got), len(want))
+		}
 	}
 }
